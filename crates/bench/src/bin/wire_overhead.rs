@@ -11,11 +11,6 @@
 //! prices the kernel. A `pipelined` column shows how much of the TCP gap
 //! request pipelining wins back for small batches.
 //!
-//! TCP rows run twice: once over the current protocol (v6, binary
-//! frames) and once with the client capped at v5 so the same workload
-//! rides the JSON codec — the gap prices the binary frame format
-//! itself.
-//!
 //! ```text
 //! cargo run --release -p gee-bench --bin wire_overhead -- --scale 64
 //! ```
@@ -100,50 +95,27 @@ fn main() {
         }
     });
 
-    // -- Loopback TCP: v6 binary frames (the default negotiation) and a
-    //    client capped at v5 so the same workload rides JSON frames,
-    //    each sequential then pipelined.
+    // -- Loopback TCP, sequential then pipelined.
     let handle = Server::listen(engine.clone(), "127.0.0.1:0", None).expect("bind loopback");
     let mut tcp_client = Client::connect(handle.addr()).expect("tcp handshake");
-    assert_eq!(
-        tcp_client.protocol_version(),
-        gee_serve::wire::PROTOCOL_VERSION
-    );
-    let mut json_client = Client::over_versions(
-        gee_serve::TcpTransport::connect(handle.addr()).expect("tcp connect"),
-        gee_serve::wire::MIN_PROTOCOL_VERSION,
-        gee_serve::wire::BINARY_FRAME_VERSION - 1,
-    )
-    .expect("v5 handshake");
-    assert_eq!(
-        json_client.protocol_version(),
-        gee_serve::wire::BINARY_FRAME_VERSION - 1
-    );
-    let tcp_phase = |client: &mut Client| {
-        let (secs, _, _) = timed(args.runs, || {
-            for batch in phase_batches(n, num_batches, batch_size) {
-                let r = client.execute_batch(batch).expect("tcp execution");
-                assert!(r.iter().all(Result::is_ok));
-            }
-        });
-        let (pipe_secs, _, _) = timed(args.runs, || {
-            let replies = client
-                .pipeline(phase_batches(n, num_batches, batch_size))
-                .expect("pipelined execution");
-            assert!(replies.iter().flatten().all(Result::is_ok));
-        });
-        (secs, pipe_secs)
-    };
-    let (tcp_secs, tcp_pipe_secs) = tcp_phase(&mut tcp_client);
-    let (tcp_json_secs, tcp_json_pipe_secs) = tcp_phase(&mut json_client);
+    let (tcp_secs, _, _) = timed(args.runs, || {
+        for batch in phase_batches(n, num_batches, batch_size) {
+            let r = tcp_client.execute_batch(batch).expect("tcp execution");
+            assert!(r.iter().all(Result::is_ok));
+        }
+    });
+    let (tcp_pipe_secs, _, _) = timed(args.runs, || {
+        let replies = tcp_client
+            .pipeline(phase_batches(n, num_batches, batch_size))
+            .expect("pipelined execution");
+        assert!(replies.iter().flatten().all(Result::is_ok));
+    });
 
     let rows: Vec<Vec<String>> = [
         ("in-process", inproc_secs),
         ("duplex", duplex_secs),
-        ("tcp (v6 binary)", tcp_secs),
-        ("tcp pipelined (v6 binary)", tcp_pipe_secs),
-        ("tcp (v5 json)", tcp_json_secs),
-        ("tcp pipelined (v5 json)", tcp_json_pipe_secs),
+        ("tcp", tcp_secs),
+        ("tcp pipelined", tcp_pipe_secs),
     ]
     .into_iter()
     .map(|(path, secs)| {
@@ -177,8 +149,6 @@ fn main() {
             ("duplex", duplex_secs),
             ("tcp", tcp_secs),
             ("tcp_pipelined", tcp_pipe_secs),
-            ("tcp_v5_json", tcp_json_secs),
-            ("tcp_pipelined_v5_json", tcp_json_pipe_secs),
         ]
         .into_iter()
         .map(|(transport, secs)| {
@@ -204,8 +174,6 @@ fn main() {
                 "duplex_seconds": duplex_secs,
                 "tcp_seconds": tcp_secs,
                 "tcp_pipelined_seconds": tcp_pipe_secs,
-                "tcp_v5_json_seconds": tcp_json_secs,
-                "tcp_pipelined_v5_json_seconds": tcp_json_pipe_secs,
             }}))
             .unwrap()
         );
@@ -214,6 +182,5 @@ fn main() {
     drop(duplex_client);
     duplex_server.join().expect("duplex server thread");
     tcp_client.goodbye().expect("clean goodbye");
-    json_client.goodbye().expect("clean v5 goodbye");
     handle.shutdown();
 }

@@ -30,7 +30,7 @@ subcommands:
                [--index exact|ivf] [--nprobe N=8] [--refine R=8]
                script lines: classify v1,v2,.. [k] | similar v [top] | row v |
                              insert u v w | remove u v w | label v <class|none> | stats
-               --listen serves wire protocol v4 over TCP (graph name \"g\");
+               --listen serves the wire protocol over TCP (graph name \"g\");
                [--max-conns N] stop after N connections, [--port-file F] write bound addr to F
                --history N retains the N newest epochs for --at-epoch reads;
                --max-pending N rejects update batches beyond N in flight (code 14)
@@ -73,7 +73,7 @@ subcommands:
                types from the weighted --mix with a seeded RNG, one CSV row per
                request; --requests N issues exactly N per client (deterministic);
                --qps Q paces an open loop at Q req/s total instead of closed loop;
-               --poll-metrics MS samples the server's protocol-v4 Metrics endpoint
+               --poll-metrics MS samples the server's Metrics endpoint
                every MS ms (0 disables), interleaving `server` rows into the CSV;
                --csv writes the per-request rows, --json a BENCH_*.json report
                (servers should run with --history deep enough for timetravel pins)
@@ -754,7 +754,7 @@ fn render_response(out: &mut String, r: &gee_serve::Response) {
     }
 }
 
-/// One-line v5 replication summary shared by the Stats and Metrics
+/// One-line replication summary shared by the Stats and Metrics
 /// renders (both endpoints carry the identical block).
 fn render_replication(r: &gee_serve::ReplicationReport) -> String {
     match r.role {
@@ -1004,7 +1004,7 @@ fn query(flags: &Flags) -> crate::Result<String> {
     } else if flags.get("stats").is_some() {
         Request::stats()
     } else if flags.get_parsed("metrics", false)? {
-        // Protocol-v4 observability probe (never pinnable).
+        // Observability probe (never pinnable).
         Request::Metrics
     } else {
         return Err(CliError::Usage(
@@ -1020,7 +1020,7 @@ fn query(flags: &Flags) -> crate::Result<String> {
     // Per-request search override: `--exact true` is the escape hatch
     // that forces the exact scan no matter how the server is configured;
     // `--nprobe`/`--index ivf` asks for IVF approximate search. Both
-    // ride the wire with --connect (protocol v3).
+    // ride the wire with --connect.
     if flags.get_parsed("exact", false)? {
         request = request.with_search(gee_serve::SearchPolicy::Exact);
     } else if flags.get("index").is_some() {
@@ -1902,7 +1902,7 @@ mod tests {
             assert_eq!(t["error_rate"].as_f64(), Some(0.0), "{kind} errors");
             assert!(t["p50_us"].as_f64().is_some(), "{kind} p50");
         }
-        // The server's own v4 metrics agree the traffic happened.
+        // The server's own metrics agree the traffic happened.
         let out = run(&sv(&["query", "--connect", &addr, "--metrics", "true"])).unwrap();
         assert!(out.contains("metrics: graph \"g\""), "{out}");
         server.join().unwrap().unwrap();
@@ -2516,8 +2516,8 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(25));
             }
         };
-        // The exact escape hatch and an ANN override both ride protocol
-        // v3 to a --listen server configured with an IVF default.
+        // The exact escape hatch and an ANN override both ride the wire
+        // to a --listen server configured with an IVF default.
         let out = run(&sv(&[
             "query",
             "--connect",

@@ -14,7 +14,7 @@
 //!   the CLI's `query --timing`);
 //! - [`run`] — the runner: N closed-loop (or rate-paced open-loop)
 //!   client threads, one CSV [`Record`](run::Record) per request, and an
-//!   optional metrics-polling thread interleaving protocol-v4 server
+//!   optional metrics-polling thread interleaving server `Metrics`
 //!   samples into the same stream;
 //! - [`stats`] — streaming five-number summaries and reservoir-free P²
 //!   quantile estimates (p50/p99/p999) over those records, single pass,

@@ -1,5 +1,5 @@
 //! The load-generator runner: N client threads, one CSV record per
-//! request, optional protocol-v4 metrics polling interleaved into the
+//! request, optional server-metrics polling interleaved into the
 //! same stream.
 //!
 //! The runner is generic over how clients are made (a `connect` closure
@@ -67,7 +67,7 @@ pub struct BenchConfig {
     /// Open-loop mode: pace clients to this *total* arrival rate
     /// (requests/second across all clients). `None` is closed loop.
     pub target_qps: Option<f64>,
-    /// Poll the server's protocol-v4 `Metrics` endpoint at this
+    /// Poll the server's `Metrics` endpoint at this
     /// interval on a dedicated extra connection, interleaving `server`
     /// records into the stream.
     pub poll_metrics: Option<Duration>,
@@ -419,7 +419,7 @@ fn run_client(
     Ok(records)
 }
 
-/// The metrics poller: sample the protocol-v4 `Metrics` endpoint until
+/// The metrics poller: sample the `Metrics` endpoint until
 /// told to stop, emitting one `server` record per sample.
 fn poll_metrics(
     config: &BenchConfig,

@@ -12,23 +12,18 @@
 
 use std::net::ToSocketAddrs;
 
-use crate::codec::FrameCodec;
+use crate::codec::{decode_server_frame, encode_client_frame};
 use crate::engine::{Envelope, GraphReport, Request, Response};
 use crate::index::SearchPolicy;
 use crate::metrics::MetricsReport;
 use crate::registry::Update;
 use crate::transport::{TcpTransport, Transport};
-use crate::wire::{self, ClientFrame, ServerFrame, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::wire::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
 use crate::ServeError;
 
-/// A connected, handshaken wire-protocol client (v6 current; pins,
-/// search overrides, and metrics probes are refused on downlevel
-/// connections; post-handshake frames ride the codec the negotiated
-/// version implies — binary from v6, JSON below).
+/// A connected, handshaken wire-protocol client.
 pub struct Client {
     transport: Box<dyn Transport>,
-    version: u32,
-    codec: FrameCodec,
     next_id: u64,
 }
 
@@ -41,37 +36,24 @@ impl Client {
     /// Handshake over an already-established transport (e.g. one end of
     /// [`duplex`](crate::transport::duplex)).
     pub fn over(transport: impl Transport + 'static) -> Result<Client, ServeError> {
-        Self::over_versions(transport, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
-    }
-
-    /// Handshake advertising an explicit version range instead of this
-    /// build's full `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`. Capping
-    /// `max_version` below [`wire::BINARY_FRAME_VERSION`] forces a JSON
-    /// connection against a v6 server — useful for codec comparisons
-    /// and downlevel-compatibility tests.
-    pub fn over_versions(
-        transport: impl Transport + 'static,
-        min_version: u32,
-        max_version: u32,
-    ) -> Result<Client, ServeError> {
         let mut transport: Box<dyn Transport> = Box::new(transport);
-        // The handshake is always JSON, regardless of what gets
-        // negotiated: the codec for the rest of the connection is an
-        // outcome of this exchange, never an input to it.
-        transport.send(wire::encode(&ClientFrame::Hello {
-            min_version,
-            max_version,
+        transport.send(encode_client_frame(&ClientFrame::Hello {
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
         }))?;
         let reply = transport
             .recv()?
             .ok_or_else(|| ServeError::protocol("server closed during handshake"))?;
-        match wire::decode::<ServerFrame>(&reply)? {
-            ServerFrame::HelloAck { version } => Ok(Client {
+        match decode_server_frame(&reply)? {
+            ServerFrame::HelloAck { version } if version == PROTOCOL_VERSION => Ok(Client {
                 transport,
-                version,
-                codec: FrameCodec::for_version(version),
                 next_id: 0,
             }),
+            // A peer must pick from the range it was offered; anything
+            // else would have us speak a protocol we do not implement.
+            ServerFrame::HelloAck { version } => Err(ServeError::protocol(format!(
+                "server acknowledged protocol v{version}, but only v{PROTOCOL_VERSION} was offered"
+            ))),
             ServerFrame::Error { error } => Err(error),
             other => Err(ServeError::protocol(format!(
                 "expected HelloAck, got {other:?}"
@@ -79,9 +61,10 @@ impl Client {
         }
     }
 
-    /// The protocol version negotiated in the handshake.
+    /// The protocol version negotiated in the handshake (the only one
+    /// [`Client::over`] offers or accepts).
     pub fn protocol_version(&self) -> u32 {
-        self.version
+        PROTOCOL_VERSION
     }
 
     /// Execute an ordered batch remotely. Mirrors
@@ -277,7 +260,7 @@ impl Client {
     }
 
     /// Mirrors [`Engine::metrics`](crate::Engine::metrics): the server's
-    /// observability counters (protocol v4).
+    /// observability counters.
     pub fn metrics(&mut self, graph: &str) -> Result<MetricsReport, ServeError> {
         match self.execute(graph, Request::Metrics)? {
             Response::Metrics(report) => Ok(report),
@@ -287,64 +270,15 @@ impl Client {
 
     /// Tell the server this connection is done (politer than dropping).
     pub fn goodbye(mut self) -> Result<(), ServeError> {
-        let bytes = self.codec.encode_client(&ClientFrame::Goodbye);
-        self.transport.send(bytes)
+        self.transport
+            .send(encode_client_frame(&ClientFrame::Goodbye))
     }
 
     fn send_batch(&mut self, requests: Vec<Envelope>) -> Result<u64, ServeError> {
-        // Epoch pins are a v2 extension. A v1 server would silently
-        // ignore the `at_epoch` key and answer from the newest epoch —
-        // wrong data, no error — so refuse to send one downlevel.
-        if self.version < wire::EPOCH_PIN_VERSION {
-            if let Some(env) = requests.iter().find(|e| e.request.at_epoch().is_some()) {
-                return Err(ServeError::protocol(format!(
-                    "at_epoch-pinned {:?} request requires protocol v{} \
-                     (negotiated v{})",
-                    env.graph,
-                    wire::EPOCH_PIN_VERSION,
-                    self.version
-                )));
-            }
-        }
-        // Search overrides are a v3 extension. A downlevel server would
-        // silently ignore the `search` key and answer with its own
-        // default policy — a broken exactness contract, no error — so
-        // refuse to send one.
-        if self.version < wire::SEARCH_POLICY_VERSION {
-            if let Some(env) = requests.iter().find(|e| e.request.search().is_some()) {
-                return Err(ServeError::protocol(format!(
-                    "search-policy override on {:?} requires protocol v{} \
-                     (negotiated v{})",
-                    env.graph,
-                    wire::SEARCH_POLICY_VERSION,
-                    self.version
-                )));
-            }
-        }
-        // Metrics is a v4 request — a brand-new enum variant, not an
-        // extra key. A downlevel server would reject it as a malformed
-        // frame and *close the connection*, killing every pipelined
-        // batch with it — so refuse to send one.
-        if self.version < wire::METRICS_VERSION {
-            if let Some(env) = requests
-                .iter()
-                .find(|e| matches!(e.request, Request::Metrics))
-            {
-                return Err(ServeError::protocol(format!(
-                    "Metrics request on {:?} requires protocol v{} \
-                     (negotiated v{})",
-                    env.graph,
-                    wire::METRICS_VERSION,
-                    self.version
-                )));
-            }
-        }
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = self
-            .codec
-            .encode_client(&ClientFrame::Batch { id, requests });
-        self.transport.send(bytes)?;
+        self.transport
+            .send(encode_client_frame(&ClientFrame::Batch { id, requests }))?;
         Ok(id)
     }
 
@@ -357,7 +291,7 @@ impl Client {
             .transport
             .recv()?
             .ok_or_else(|| ServeError::protocol("server closed with a batch in flight"))?;
-        match self.codec.decode_server(&reply)? {
+        match decode_server_frame(&reply)? {
             ServerFrame::Batch { id: got, results } if got == id => {
                 if results.len() != expected {
                     return Err(ServeError::protocol(format!(

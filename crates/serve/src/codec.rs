@@ -1,35 +1,31 @@
-//! Protocol-v6 binary frame codec.
-//!
-//! From [`wire::BINARY_FRAME_VERSION`](crate::wire::BINARY_FRAME_VERSION)
-//! on, a negotiated connection carries its post-handshake frames in a
-//! compact tagged binary layout instead of JSON. The handshake itself
-//! ([`ClientFrame::Hello`], [`ServerFrame::HelloAck`], and any
-//! pre-negotiation [`ServerFrame::Error`]) is **always JSON** in both
-//! directions — the codec for the rest of the connection is implied by
-//! the version the `HelloAck` carries, so there is never a frame whose
-//! encoding depends on state the peer has not yet seen.
+//! The frame codec: the one encoding of [`ClientFrame`] and
+//! [`ServerFrame`], from the first byte of a connection (handshake
+//! included) to the last.
 //!
 //! # Layout
 //!
-//! A binary frame body is
+//! A frame body is
 //!
 //! ```text
 //! [crc32 u32 LE over payload][payload]
 //! ```
 //!
-//! checked on decode (the transport's big-endian length prefix remains
-//! the stream framing, unchanged since v1). The payload is built from
-//! the same primitives as the WAL and replication streams
+//! checked on decode (the transport's big-endian length prefix is the
+//! stream framing, see [`crate::wire`]). The checksum catches line
+//! noise, not malice: everything behind it is still parsed as hostile
+//! input — counts are bounded by the bytes that remain, names by
+//! [`MAX_NAME_LEN`], and the cursor must drain exactly. The payload is
+//! built from the same primitives as the WAL and replication streams
 //! ([`gee_graph::io::frame`]): little-endian fixed-width integers,
 //! `u32`-length-prefixed UTF-8 strings, and one leading tag byte per
-//! enum. `Option` fields carry a presence byte. Update batches reuse the
+//! enum. `Option` fields carry a presence byte; errors are tagged by
+//! their stable [`ErrorCode`](crate::ErrorCode). Update batches reuse the
 //! WAL's update encoding verbatim ([`crate::wal`]), so an update has
 //! exactly one binary encoding in the system.
 //!
-//! Like every protocol bump before it, v6 is **additive**: JSON frames
-//! for v1–v5 connections are untouched (pinned byte-for-byte by
-//! `tests/wire_roundtrip.rs`), and a v6 client talking to a v5 server
-//! negotiates down to JSON automatically.
+//! Each type is written once here as an `encode_*`/`decode_*` pair; to
+//! add a field, edit that pair and bump
+//! [`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION).
 
 use gee_graph::io::frame::{self, Cursor, FrameError};
 
@@ -37,7 +33,7 @@ use crate::engine::{Envelope, GraphReport, Request, Response};
 use crate::metrics::{HistogramReport, MetricsReport, ReplicationReport, ReplicationRole};
 use crate::registry::Update;
 use crate::wal::{decode_update, encode_update, MAX_NAME_LEN};
-use crate::wire::{self, ClientFrame, ServerFrame, BINARY_FRAME_VERSION, MAX_FRAME_LEN};
+use crate::wire::{ClientFrame, ServerFrame, MAX_FRAME_LEN};
 use crate::{SearchPolicy, ServeError};
 
 // Frame tags.
@@ -72,58 +68,6 @@ const SEARCH_ANN: u8 = 2;
 const ROLE_LEADER: u8 = 1;
 const ROLE_FOLLOWER: u8 = 2;
 
-/// Which encoding a negotiated connection speaks after the handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameCodec {
-    /// Externally-tagged compact JSON (protocol v1–v5).
-    Json,
-    /// Tagged binary with a CRC-32 body checksum (protocol v6+).
-    Binary,
-}
-
-impl FrameCodec {
-    /// The codec implied by a negotiated protocol version.
-    pub fn for_version(version: u32) -> FrameCodec {
-        if version >= BINARY_FRAME_VERSION {
-            FrameCodec::Binary
-        } else {
-            FrameCodec::Json
-        }
-    }
-
-    /// Encode a post-handshake client frame under this codec.
-    pub fn encode_client(&self, frame: &ClientFrame) -> Vec<u8> {
-        match self {
-            FrameCodec::Json => wire::encode(frame),
-            FrameCodec::Binary => encode_client_frame(frame),
-        }
-    }
-
-    /// Decode a post-handshake client frame under this codec.
-    pub fn decode_client(&self, bytes: &[u8]) -> Result<ClientFrame, ServeError> {
-        match self {
-            FrameCodec::Json => wire::decode(bytes),
-            FrameCodec::Binary => decode_client_frame(bytes),
-        }
-    }
-
-    /// Encode a post-handshake server frame under this codec.
-    pub fn encode_server(&self, frame: &ServerFrame) -> Vec<u8> {
-        match self {
-            FrameCodec::Json => wire::encode(frame),
-            FrameCodec::Binary => encode_server_frame(frame),
-        }
-    }
-
-    /// Decode a post-handshake server frame under this codec.
-    pub fn decode_server(&self, bytes: &[u8]) -> Result<ServerFrame, ServeError> {
-        match self {
-            FrameCodec::Json => wire::decode(bytes),
-            FrameCodec::Binary => decode_server_frame(bytes),
-        }
-    }
-}
-
 /// Wrap a payload with its CRC-32 (the binary frame body).
 fn seal(payload: Vec<u8>) -> Vec<u8> {
     let mut body = Vec::with_capacity(payload.len() + 4);
@@ -155,9 +99,7 @@ fn protocol(e: FrameError) -> ServeError {
     ServeError::protocol(format!("undecodable binary frame: {e}"))
 }
 
-/// Encode a [`ClientFrame`] as a binary body. `Hello` is encodable for
-/// completeness/tests, but on a live connection the handshake always
-/// rides JSON (see the module docs).
+/// Encode a [`ClientFrame`] as a frame body.
 pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
     let mut p = Vec::new();
     match frame {
@@ -182,8 +124,7 @@ pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
     seal(p)
 }
 
-/// Decode a binary [`ClientFrame`] body (inverse of
-/// [`encode_client_frame`]).
+/// Decode a [`ClientFrame`] body (inverse of [`encode_client_frame`]).
 pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, ServeError> {
     let payload = unseal(bytes)?;
     let mut c = Cursor::new(payload);
@@ -215,9 +156,7 @@ pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, ServeError> {
     frame.map_err(protocol)
 }
 
-/// Encode a [`ServerFrame`] as a binary body. `HelloAck` and the
-/// pre-negotiation `Error` are encodable for completeness/tests, but on
-/// a live connection the handshake always rides JSON.
+/// Encode a [`ServerFrame`] as a frame body.
 pub fn encode_server_frame(frame: &ServerFrame) -> Vec<u8> {
     let mut p = Vec::new();
     match frame {
@@ -250,8 +189,7 @@ pub fn encode_server_frame(frame: &ServerFrame) -> Vec<u8> {
     seal(p)
 }
 
-/// Decode a binary [`ServerFrame`] body (inverse of
-/// [`encode_server_frame`]).
+/// Decode a [`ServerFrame`] body (inverse of [`encode_server_frame`]).
 pub fn decode_server_frame(bytes: &[u8]) -> Result<ServerFrame, ServeError> {
     let payload = unseal(bytes)?;
     let mut c = Cursor::new(payload);
@@ -869,79 +807,9 @@ const _: () = assert!(MAX_DETAIL_LEN < MAX_FRAME_LEN);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Request;
 
-    #[test]
-    fn client_frames_round_trip_binary() {
-        let frames = vec![
-            ClientFrame::Hello {
-                min_version: 1,
-                max_version: 6,
-            },
-            ClientFrame::Batch {
-                id: u64::MAX,
-                requests: vec![
-                    Envelope::new("g", Request::classify(vec![0, 1, u32::MAX], 3)),
-                    Envelope::new("h", Request::stats().pinned(9)),
-                    Envelope::new(
-                        "g",
-                        Request::similar(7, 5).with_search(SearchPolicy::Ann {
-                            nprobe: 3,
-                            refine: 8,
-                        }),
-                    ),
-                    Envelope::new(
-                        "g",
-                        Request::ApplyUpdates {
-                            updates: vec![
-                                Update::InsertEdge { u: 1, v: 2, w: 0.5 },
-                                Update::SetLabel { v: 3, label: None },
-                            ],
-                        },
-                    ),
-                    Envelope::new("g", Request::Metrics),
-                ],
-            },
-            ClientFrame::Goodbye,
-        ];
-        for f in frames {
-            let bytes = encode_client_frame(&f);
-            assert_eq!(decode_client_frame(&bytes).unwrap(), f);
-        }
-    }
-
-    #[test]
-    fn server_frames_round_trip_binary() {
-        let frames = vec![
-            ServerFrame::HelloAck { version: 6 },
-            ServerFrame::Batch {
-                id: 3,
-                results: vec![
-                    Ok(Response::Classes(vec![1, 0])),
-                    Ok(Response::Neighbors(vec![(7, 0.25), (9, f64::MAX)])),
-                    Ok(Response::Row(vec![-1.5, 0.0, 2.25])),
-                    Ok(Response::Applied {
-                        applied: 4,
-                        epoch: 11,
-                    }),
-                    Err(ServeError::UnknownGraph { graph: "h".into() }),
-                    Err(ServeError::EpochEvicted {
-                        graph: "g".into(),
-                        epoch: 0,
-                        oldest: 2,
-                        newest: 5,
-                    }),
-                ],
-            },
-            ServerFrame::Error {
-                error: ServeError::protocol("bad"),
-            },
-        ];
-        for f in frames {
-            let bytes = encode_server_frame(&f);
-            assert_eq!(decode_server_frame(&bytes).unwrap(), f);
-        }
-    }
+    // Round trips and hostile-input properties over every frame variant
+    // live in `tests/wire_roundtrip.rs`.
 
     #[test]
     fn corrupted_binary_frame_fails_the_checksum() {
@@ -961,25 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_choice_follows_the_negotiated_version() {
-        assert_eq!(FrameCodec::for_version(1), FrameCodec::Json);
-        assert_eq!(
-            FrameCodec::for_version(BINARY_FRAME_VERSION - 1),
-            FrameCodec::Json
-        );
-        assert_eq!(
-            FrameCodec::for_version(BINARY_FRAME_VERSION),
-            FrameCodec::Binary
-        );
-        assert_eq!(FrameCodec::for_version(u32::MAX), FrameCodec::Binary);
-        // The same frame decodes under the codec that encoded it.
-        let f = ClientFrame::Goodbye;
-        for codec in [FrameCodec::Json, FrameCodec::Binary] {
-            assert_eq!(codec.decode_client(&codec.encode_client(&f)).unwrap(), f);
-        }
-    }
-
-    #[test]
     fn trailing_garbage_is_rejected() {
         let f = ClientFrame::Goodbye;
         let sealed = encode_client_frame(&f);
@@ -992,64 +841,5 @@ mod tests {
             decode_client_frame(&bytes),
             Err(ServeError::Protocol { .. })
         ));
-    }
-
-    #[test]
-    fn stats_and_metrics_responses_round_trip_binary() {
-        let report = GraphReport {
-            graph: "g".into(),
-            epoch: 7,
-            oldest_epoch: 3,
-            num_vertices: 100,
-            dim: 5,
-            num_shards: 4,
-            num_labeled: 30,
-            ann_indexed_shards: 2,
-            queries_served: 999,
-            updates_applied: 42,
-            replication: Some(ReplicationReport {
-                role: ReplicationRole::Follower,
-                connected: true,
-                shipped_records: 0,
-                shipped_bytes: 0,
-                follower_conns: 0,
-                lag_epochs: 1,
-                lag_lsns: 2,
-                last_durable_lsn: 77,
-                leader_epoch: 3,
-                fenced: false,
-            }),
-        };
-        let metrics = MetricsReport {
-            graph: "g".into(),
-            epoch: 7,
-            oldest_epoch: 3,
-            history_depth: 5,
-            ann_indexed_shards: 2,
-            queries_served: 999,
-            updates_applied: 42,
-            classify_us: HistogramReport {
-                buckets: vec![0, 3, 1],
-                count: 4,
-                sum: 17,
-            },
-            similar_us: HistogramReport::empty(),
-            embed_row_us: HistogramReport::empty(),
-            stats_us: HistogramReport::empty(),
-            metrics_us: HistogramReport::empty(),
-            apply_updates_us: HistogramReport::empty(),
-            coalesce: HistogramReport::empty(),
-            overloaded: 1,
-            wal_fsyncs: 12,
-            ivf_builds: 2,
-            ivf_hits: 30,
-            replication: None,
-        };
-        let frame = ServerFrame::Batch {
-            id: 1,
-            results: vec![Ok(Response::Stats(report)), Ok(Response::Metrics(metrics))],
-        };
-        let bytes = encode_server_frame(&frame);
-        assert_eq!(decode_server_frame(&bytes).unwrap(), frame);
     }
 }

@@ -21,7 +21,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::index::SearchPolicy;
 use crate::metrics::{elapsed_us, MetricsReport, ReplicationReport, ServeMetrics};
@@ -31,13 +30,7 @@ use crate::ServeError;
 
 /// A query or mutation against one named graph.
 ///
-/// Part of the wire contract: serializes via serde's externally-tagged
-/// enum encoding (see [`crate::wire`]). The `at_epoch` pins (protocol
-/// v2) and `search` overrides (protocol v3) are encoded **additively**:
-/// `at_epoch: None`/`search: None` serialize byte-identically to the v1
-/// frames (no extra keys; `Stats` stays the bare `"Stats"` string), and
-/// older frames decode with `None` — see the hand-written serde impls
-/// below.
+/// Part of the wire contract (encoded by [`crate::codec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// kNN-classify each vertex from the labeled train set (majority vote
@@ -69,7 +62,7 @@ pub enum Request {
     /// Serving statistics for the graph (optionally describing a pinned
     /// retained epoch).
     Stats { at_epoch: Option<u64> },
-    /// Server observability counters (protocol v4): per-request-type
+    /// Server observability counters: per-request-type
     /// latency histograms, coalesce sizes, back-pressure rejections,
     /// WAL fsyncs, IVF build/hit counters, plus the addressed graph's
     /// epoch state. Never pinnable — counters describe the present.
@@ -135,15 +128,6 @@ impl Request {
         self
     }
 
-    /// The search-policy override this read carries, if any (`None` for
-    /// writes and for reads that use the registry default).
-    pub fn search(&self) -> Option<SearchPolicy> {
-        match self {
-            Request::Classify { search, .. } | Request::Similar { search, .. } => *search,
-            _ => None,
-        }
-    }
-
     /// This request with a search-policy override (no-op on requests
     /// that don't search: `EmbedRow`, `Stats`, writes).
     pub fn with_search(mut self, policy: SearchPolicy) -> Request {
@@ -162,120 +146,8 @@ impl Request {
     }
 }
 
-// Hand-written wire encoding for `Request` (everything else derives):
-// the derive would always emit `at_epoch`/`search` keys and would turn
-// `Stats` into a struct variant, changing every v1 frame. These impls
-// keep the v1 byte encoding for unpinned/default-search requests and
-// only add the keys when present, so both extensions are additive on
-// the wire (`tests/wire_roundtrip.rs` pins the exact bytes).
-impl Serialize for Request {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        fn variant(
-            tag: &str,
-            mut fields: Vec<(String, Value)>,
-            at_epoch: &Option<u64>,
-            search: &Option<SearchPolicy>,
-        ) -> Value {
-            if let Some(e) = at_epoch {
-                fields.push(("at_epoch".to_string(), Value::from(*e)));
-            }
-            if let Some(s) = search {
-                fields.push(("search".to_string(), s.to_value()));
-            }
-            Value::Object(vec![(tag.to_string(), Value::Object(fields))])
-        }
-        match self {
-            Request::Classify {
-                vertices,
-                k,
-                at_epoch,
-                search,
-            } => variant(
-                "Classify",
-                vec![
-                    ("vertices".to_string(), vertices.to_value()),
-                    ("k".to_string(), k.to_value()),
-                ],
-                at_epoch,
-                search,
-            ),
-            Request::Similar {
-                vertex,
-                top,
-                at_epoch,
-                search,
-            } => variant(
-                "Similar",
-                vec![
-                    ("vertex".to_string(), vertex.to_value()),
-                    ("top".to_string(), top.to_value()),
-                ],
-                at_epoch,
-                search,
-            ),
-            Request::EmbedRow { vertex, at_epoch } => variant(
-                "EmbedRow",
-                vec![("vertex".to_string(), vertex.to_value())],
-                at_epoch,
-                &None,
-            ),
-            Request::ApplyUpdates { updates } => Value::Object(vec![(
-                "ApplyUpdates".to_string(),
-                Value::Object(vec![("updates".to_string(), updates.to_value())]),
-            )]),
-            Request::Stats { at_epoch: None } => Value::String("Stats".to_string()),
-            Request::Stats { at_epoch } => variant("Stats", vec![], at_epoch, &None),
-            Request::Metrics => Value::String("Metrics".to_string()),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::{de_field, DeError, Value};
-        match v {
-            Value::String(s) if s == "Stats" => Ok(Request::Stats { at_epoch: None }),
-            Value::String(s) if s == "Metrics" => Ok(Request::Metrics),
-            Value::Object(pairs) if pairs.len() == 1 => {
-                let (tag, inner) = &pairs[0];
-                match tag.as_str() {
-                    "Classify" => Ok(Request::Classify {
-                        vertices: Deserialize::from_value(de_field(inner, "vertices")?)?,
-                        k: Deserialize::from_value(de_field(inner, "k")?)?,
-                        at_epoch: Deserialize::from_value(de_field(inner, "at_epoch")?)?,
-                        search: Deserialize::from_value(de_field(inner, "search")?)?,
-                    }),
-                    "Similar" => Ok(Request::Similar {
-                        vertex: Deserialize::from_value(de_field(inner, "vertex")?)?,
-                        top: Deserialize::from_value(de_field(inner, "top")?)?,
-                        at_epoch: Deserialize::from_value(de_field(inner, "at_epoch")?)?,
-                        search: Deserialize::from_value(de_field(inner, "search")?)?,
-                    }),
-                    "EmbedRow" => Ok(Request::EmbedRow {
-                        vertex: Deserialize::from_value(de_field(inner, "vertex")?)?,
-                        at_epoch: Deserialize::from_value(de_field(inner, "at_epoch")?)?,
-                    }),
-                    "ApplyUpdates" => Ok(Request::ApplyUpdates {
-                        updates: Deserialize::from_value(de_field(inner, "updates")?)?,
-                    }),
-                    "Stats" => Ok(Request::Stats {
-                        at_epoch: Deserialize::from_value(de_field(inner, "at_epoch")?)?,
-                    }),
-                    other => Err(DeError(format!(
-                        "unknown variant {other:?} for enum Request"
-                    ))),
-                }
-            }
-            other => Err(DeError(format!(
-                "invalid representation for enum Request: {other:?}"
-            ))),
-        }
-    }
-}
-
 /// Answer to one [`Request`]. Part of the wire contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Predicted class per queried vertex, in query order.
     Classes(Vec<u32>),
@@ -288,7 +160,7 @@ pub enum Response {
     Applied { applied: usize, epoch: u64 },
     /// Serving statistics.
     Stats(GraphReport),
-    /// Server observability counters (protocol v4).
+    /// Server observability counters.
     Metrics(MetricsReport),
 }
 
@@ -309,71 +181,18 @@ pub struct GraphReport {
     pub num_labeled: usize,
     /// Shard blocks of the described snapshot with a built-and-cached
     /// IVF index (counting never forces a build; the same value the
-    /// protocol-v4 `Metrics` endpoint reports for the published epoch).
+    /// `Metrics` endpoint reports for the published epoch).
     pub ann_indexed_shards: usize,
     pub queries_served: u64,
     pub updates_applied: u64,
-    /// Replication role and lag gauges (protocol v5). `None` — the key
-    /// omitted on the wire — unless this server is a replication leader
-    /// or follower, so pre-v5 reports stay byte-identical.
+    /// Replication role and lag gauges; `None` unless this server is a
+    /// replication leader or follower.
     pub replication: Option<ReplicationReport>,
-}
-
-// Hand-written wire encoding for `GraphReport`, for the same reason as
-// `MetricsReport`'s (see `crate::metrics`): the `replication` key is
-// emitted only when the block is present, keeping pre-v5 `Stats`
-// responses byte-identical; pre-v5 frames decode with
-// `replication: None`.
-impl Serialize for GraphReport {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let mut fields = vec![
-            ("graph".to_string(), self.graph.to_value()),
-            ("epoch".to_string(), self.epoch.to_value()),
-            ("oldest_epoch".to_string(), self.oldest_epoch.to_value()),
-            ("num_vertices".to_string(), self.num_vertices.to_value()),
-            ("dim".to_string(), self.dim.to_value()),
-            ("num_shards".to_string(), self.num_shards.to_value()),
-            ("num_labeled".to_string(), self.num_labeled.to_value()),
-            (
-                "ann_indexed_shards".to_string(),
-                self.ann_indexed_shards.to_value(),
-            ),
-            ("queries_served".to_string(), self.queries_served.to_value()),
-            (
-                "updates_applied".to_string(),
-                self.updates_applied.to_value(),
-            ),
-        ];
-        if let Some(r) = &self.replication {
-            fields.push(("replication".to_string(), r.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for GraphReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::de_field;
-        Ok(GraphReport {
-            graph: Deserialize::from_value(de_field(v, "graph")?)?,
-            epoch: Deserialize::from_value(de_field(v, "epoch")?)?,
-            oldest_epoch: Deserialize::from_value(de_field(v, "oldest_epoch")?)?,
-            num_vertices: Deserialize::from_value(de_field(v, "num_vertices")?)?,
-            dim: Deserialize::from_value(de_field(v, "dim")?)?,
-            num_shards: Deserialize::from_value(de_field(v, "num_shards")?)?,
-            num_labeled: Deserialize::from_value(de_field(v, "num_labeled")?)?,
-            ann_indexed_shards: Deserialize::from_value(de_field(v, "ann_indexed_shards")?)?,
-            queries_served: Deserialize::from_value(de_field(v, "queries_served")?)?,
-            updates_applied: Deserialize::from_value(de_field(v, "updates_applied")?)?,
-            replication: Deserialize::from_value(de_field(v, "replication")?)?,
-        })
-    }
 }
 
 /// A request addressed to a named graph, for batch submission. Part of
 /// the wire contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     pub graph: String,
     pub request: Request,
@@ -569,7 +388,7 @@ impl Engine {
         }
     }
 
-    /// Server observability counters (protocol v4), addressed to one
+    /// Server observability counters, addressed to one
     /// graph for its epoch state; the histograms and counters describe
     /// the whole registry.
     pub fn metrics(&self, graph: &str) -> Result<MetricsReport, ServeError> {
@@ -628,19 +447,37 @@ impl Engine {
                     }
                 }
                 metrics.coalesce.record(run.len() as u64);
-                let answers: Vec<Result<Response, ServeError>> = run
-                    .par_iter()
+                // Pair each request with its snapshot and count it, in
+                // request order, *before* fanning out: a `Stats`/`Metrics`
+                // inside the run then reports the `queries_served` it would
+                // have seen executing one at a time — not however far its
+                // siblings happen to have got.
+                let prepared: Vec<(&Resolved, u64)> = run
+                    .iter()
                     .map(|env| {
-                        let started = std::time::Instant::now();
                         let pin = env.request.at_epoch();
                         let (_, resolved) = snaps
                             .iter()
                             .find(|(k, _)| k.0 == env.graph && k.1 == pin)
                             .expect("snapshot prefetched for every (graph, epoch) in run");
+                        let served = match resolved {
+                            Ok((entry, _)) => {
+                                entry.queries_served.fetch_add(1, Ordering::Relaxed) + 1
+                            }
+                            Err(_) => 0,
+                        };
+                        (resolved, served)
+                    })
+                    .collect();
+                let answers: Vec<Result<Response, ServeError>> = run
+                    .par_iter()
+                    .zip(&prepared)
+                    .map(|(env, &(resolved, served))| {
+                        let started = std::time::Instant::now();
                         let answer = match resolved {
                             Err(e) => Err(e.clone()),
                             Ok((entry, snap)) => {
-                                self.execute_read(&env.graph, &env.request, entry, snap)
+                                self.execute_read(&env.graph, &env.request, entry, snap, served)
                             }
                         };
                         metrics
@@ -677,8 +514,8 @@ impl Engine {
         request: &Request,
         entry: &crate::registry::Entry,
         snap: &Snapshot,
+        queries_served: u64,
     ) -> Result<Response, ServeError> {
-        entry.queries_served.fetch_add(1, Ordering::Relaxed);
         let n = snap.num_vertices();
         let check = |v: u32| {
             if (v as usize) < n {
@@ -760,7 +597,7 @@ impl Engine {
                     num_shards: snap.num_shards(),
                     num_labeled: snap.num_labeled(),
                     ann_indexed_shards: ann_indexed_shards(snap),
-                    queries_served: entry.queries_served.load(Ordering::Relaxed),
+                    queries_served,
                     updates_applied: entry.updates_applied.load(Ordering::Relaxed),
                     replication: self.registry.replication_report(),
                 }))
@@ -774,7 +611,7 @@ impl Engine {
                     oldest_epoch,
                     history_depth: entry.history_depth(),
                     ann_indexed_shards: ann_indexed_shards(snap),
-                    queries_served: entry.queries_served.load(Ordering::Relaxed),
+                    queries_served,
                     updates_applied: entry.updates_applied.load(Ordering::Relaxed),
                     classify_us: m.classify.report(),
                     similar_us: m.similar.report(),
@@ -1394,6 +1231,31 @@ mod tests {
         assert_eq!(report.updates_applied, 1);
         assert!(report.queries_served >= 1);
         assert_eq!(report.num_shards, 2);
+    }
+
+    /// A `Stats` inside a coalesced read run reports the query count it
+    /// would have seen executing one at a time, however the run's
+    /// parallel siblings are scheduled — twin engines must answer the
+    /// same batch identically (`tests/network.rs` depends on it).
+    #[test]
+    fn stats_inside_a_read_run_counts_as_if_sequential() {
+        let (engine, n) = engine(3);
+        for round in 0..20u64 {
+            let mut batch: Vec<Envelope> = (0..16u32)
+                .map(|v| Envelope::new("g", Request::similar(v % n as u32, 5)))
+                .collect();
+            batch.insert(7, Envelope::new("g", Request::stats()));
+            batch.push(Envelope::new("g", Request::Metrics));
+            let answers = engine.execute_batch(batch);
+            let base = round * 18;
+            match (&answers[7], &answers[17]) {
+                (Ok(Response::Stats(stats)), Ok(Response::Metrics(metrics))) => {
+                    assert_eq!(stats.queries_served, base + 8, "round {round}");
+                    assert_eq!(metrics.queries_served, base + 18, "round {round}");
+                }
+                other => panic!("unexpected responses {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -47,16 +47,12 @@
 //! oracle: measured recall@top across graphs, shard counts, and `nprobe`
 //! settings, and bit-identity whenever the pool covers everything.
 
-use serde::{Deserialize, Serialize};
-
 use crate::snapshot::ShardBlock;
 
 /// How `Similar` and `Classify` search the embedding: exact
 /// shard-parallel scans (the default — bit-identical to pre-index
-/// behavior) or approximate IVF probes. Part of the wire contract
-/// (protocol v3, additive: requests without a `search` override encode
-/// byte-identically to v2 frames).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// behavior) or approximate IVF probes. Part of the wire contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchPolicy {
     /// Exact scan of every row (every train row for `Classify`).
     Exact,

@@ -29,28 +29,22 @@
 //!
 //! # Wire protocol
 //!
-//! Every serve type doubles as a versioned public wire contract, so the
-//! engine can be driven across a process boundary with answers provably
-//! equal to in-process execution:
+//! Every serve type doubles as a public wire contract, so the engine
+//! can be driven across a process boundary with answers provably equal
+//! to in-process execution:
 //!
 //! * **Frame layout** — a frame is one [`wire::ClientFrame`] or
-//!   [`wire::ServerFrame`], serialized by the negotiated
-//!   [`FrameCodec`]: compact JSON (serde's externally-tagged enum
-//!   encoding) below protocol v6, a CRC-guarded binary encoding
-//!   ([`codec`]) from v6 up. The handshake frames themselves are always
-//!   JSON, so negotiation never depends on its own outcome. On stream
-//!   transports (TCP) each frame is length-prefixed with a big-endian
-//!   `u32` byte count, capped at [`wire::MAX_FRAME_LEN`]; the
+//!   [`wire::ServerFrame`] in the CRC-guarded binary encoding of
+//!   [`codec`], the only encoding there is (handshake included). On
+//!   stream transports (TCP) each frame is length-prefixed with a
+//!   big-endian `u32` byte count, capped at [`wire::MAX_FRAME_LEN`]; the
 //!   in-process [`transport::duplex`] moves the encoded frames through
 //!   a channel without copying.
 //! * **Version negotiation** — a connection starts with
-//!   `ClientFrame::Hello { min_version, max_version }`; the server picks
-//!   the highest mutually supported version (currently
-//!   [`wire::PROTOCOL_VERSION`] = 6; v1–v5 are still spoken, and the
-//!   v2 `at_epoch` / v3 `search` / v4 `Metrics` / v5 replication / v6
-//!   binary-frame extensions are additive — see [`wire`]'s module docs
-//!   for the per-version table) and answers `ServerFrame::HelloAck`, or
-//!   a typed [`ServeError::VersionUnsupported`] and closes.
+//!   `ClientFrame::Hello { min_version, max_version }`; the server
+//!   speaks exactly one version ([`wire::PROTOCOL_VERSION`]) and answers
+//!   `ServerFrame::HelloAck` when the range contains it, or a typed
+//!   [`ServeError::VersionUnsupported`] and closes.
 //! * **Requests** — `ClientFrame::Batch { id, requests }` carries an
 //!   ordered [`Envelope`] batch that the server feeds to
 //!   [`Engine::execute_batch`]; the response echoes the `id`, which lets
@@ -67,7 +61,7 @@
 //! `embed_row`, `apply_updates`, `stats`, `metrics`, `execute_batch`),
 //! which makes Engine-vs-Client equivalence property-testable. The
 //! serving stack also keeps registry-wide observability counters
-//! ([`metrics`]) snapshotted by the protocol-v4 [`Request::Metrics`]
+//! ([`metrics`]) snapshotted by the [`Request::Metrics`]
 //! probe as a [`MetricsReport`] — the data source for `gee bench`'s
 //! server-side samples. See
 //! `examples/network_serving.rs` for the end-to-end proof and the
@@ -111,7 +105,7 @@
 //! `Similar` and `Classify` are exact shard-parallel scans by default —
 //! O(n) per query, which stops holding up at millions of vertices. A
 //! registry configured with [`SearchPolicy::Ann`] (or a request carrying
-//! a `search` override — protocol v3, additive) answers from per-shard
+//! a `search` override) answers from per-shard
 //! **IVF indexes** instead ([`index`], [`IvfIndex`]): each
 //! [`ShardBlock`] lazily builds and caches a k-means coarse quantizer
 //! over its own rows, and a query ranks every shard's centroids in one
@@ -172,7 +166,7 @@
 //! sampled high water is acknowledged by that single fsync; the
 //! durability guarantee is unchanged (no batch is acknowledged before
 //! an fsync covers it — only the fsync is shared). The coalescing is
-//! observable as the protocol-v4 `wal_fsyncs` metric staying far below
+//! observable as the `wal_fsyncs` metric staying far below
 //! the committed batch count, and the `durability_overhead` bench's
 //! group-commit phase measures the throughput win at 8 writers.
 //!
@@ -195,8 +189,8 @@
 //! ([`ErrorCode::ReadOnlyReplica`] = 15), reconnect with backoff, and
 //! resume from their durable high-water LSN after a crash. Replication
 //! lag (epochs and LSNs) and shipped-record counters surface through the
-//! additive `replication` block of [`GraphReport`]/[`MetricsReport`]
-//! (protocol v5). `tests/replication.rs` proves convergence under
+//! `replication` block of [`GraphReport`]/[`MetricsReport`].
+//! `tests/replication.rs` proves convergence under
 //! concurrent writer churn; `tests/replication_frames.rs` fuzzes the
 //! stream framing and injects torn/bit-flipped streams.
 //!
@@ -206,7 +200,7 @@
 //! [`Follower::promote`] stops the pull loop at the durable high water,
 //! durably bumps the **leader epoch** — a monotonically increasing
 //! fencing token persisted in the data dir and carried in every
-//! replication handshake and heartbeat (stream v2) — and flips the
+//! replication handshake and heartbeat — and flips the
 //! registry writable, optionally warming a fresh [`ReplicationListener`]
 //! so the surviving followers re-point and resume from their own LSNs
 //! (`gee promote` on the command line). The epoch makes split brain
@@ -244,8 +238,6 @@
 //! # if let Ok(Response::Classes(c)) = &answers[0] { assert_eq!(c.len(), 3); }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 pub mod checkpoint;
 pub mod client;
 pub mod codec;
@@ -263,7 +255,6 @@ pub mod wal;
 pub mod wire;
 
 pub use client::Client;
-pub use codec::FrameCodec;
 pub use engine::{Engine, Envelope, GraphReport, Request, Response};
 pub use index::{IvfIndex, SearchPolicy, ANN_MIN_SHARD_ROWS};
 pub use metrics::{HistogramReport, MetricsReport, ReplicationReport, ReplicationRole};
@@ -280,11 +271,10 @@ pub use wire::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
 
 /// Errors a serving request can produce.
 ///
-/// Every variant is part of the versioned wire contract: it serializes
-/// with serde's externally-tagged encoding and maps to a stable numeric
-/// [`ErrorCode`], so remote clients get the same typed failures as
-/// in-process callers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Every variant is part of the wire contract: it maps to a stable
+/// numeric [`ErrorCode`] (its tag in [`codec`]), so remote clients get
+/// the same typed failures as in-process callers.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// No graph registered under this name.
     UnknownGraph { graph: String },
@@ -297,8 +287,8 @@ pub enum ServeError {
     /// `Classify` against a graph whose train set is empty.
     NoLabeledVertices { graph: String },
     /// A numeric parameter that must be finite was NaN or infinite
-    /// (e.g. an update weight — JSON cannot carry non-finite values, and
-    /// a NaN weight would poison every distance computation).
+    /// (e.g. an update weight — a NaN weight would poison every
+    /// distance computation).
     NonFinite { param: String },
     /// A batch's encoded response exceeded the frame-size cap; resend as
     /// smaller batches. The request itself was valid — every result slot
@@ -405,7 +395,7 @@ impl ServeError {
 /// Stable numeric identifiers for [`ServeError`] variants — the wire
 /// contract clients may branch on. Values are append-only: a code is
 /// never renumbered or reused once a protocol version has shipped it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCode {
     UnknownGraph,
     VertexOutOfRange,

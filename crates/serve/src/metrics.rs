@@ -1,4 +1,4 @@
-//! Server-side observability counters and the protocol-v4 wire report.
+//! Server-side observability counters and their wire report.
 //!
 //! The serving stack maintains a set of lock-free counters
 //! ([`ServeMetrics`], one per [`Registry`](crate::Registry)): a
@@ -8,7 +8,7 @@
 //! against one snapshot), back-pressure rejections, and IVF index
 //! build/hit counters. The WAL fsync count lives with the
 //! [`WalWriter`](crate::wal::WalWriter) itself (it is already serialized
-//! behind the log lock). A protocol-v4
+//! behind the log lock). A
 //! [`Request::Metrics`](crate::Request::Metrics) snapshots everything
 //! into a [`MetricsReport`] — the machine-readable side of `gee bench`'s
 //! server polling.
@@ -20,8 +20,6 @@
 //! exact ledgers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use serde::{Deserialize, Serialize};
 
 use crate::engine::Request;
 
@@ -73,10 +71,10 @@ impl Histogram {
     }
 }
 
-/// Wire snapshot of one [`Histogram`]. Part of the protocol-v4
+/// Wire snapshot of one [`Histogram`]. Part of the wire
 /// contract: `buckets[0]` counts zero samples, `buckets[i]` counts
 /// samples in `[2^(i-1), 2^i)`, trailing empty buckets are trimmed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramReport {
     pub buckets: Vec<u64>,
     pub count: u64,
@@ -197,8 +195,8 @@ pub(crate) fn elapsed_us(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Answer to [`Request::Metrics`](crate::Request::Metrics) (protocol
-/// v4). The per-graph fields (`epoch` … `updates_applied`) describe the
+/// Answer to [`Request::Metrics`](crate::Request::Metrics). The
+/// per-graph fields (`epoch` … `updates_applied`) describe the
 /// addressed graph exactly as [`GraphReport`](crate::GraphReport) does
 /// — the two endpoints never disagree — while the histograms and
 /// counters describe the whole registry (every graph's traffic).
@@ -237,91 +235,19 @@ pub struct MetricsReport {
     pub ivf_builds: u64,
     /// IVF probes answered from an already-cached shard index.
     pub ivf_hits: u64,
-    /// Replication role and lag gauges (protocol v5). `None` — the key
-    /// omitted on the wire — unless this registry is a replication
-    /// leader or follower, so pre-v5 reports stay byte-identical.
+    /// Replication role and lag gauges; `None` unless this registry is
+    /// a replication leader or follower.
     pub replication: Option<ReplicationReport>,
 }
 
-// Hand-written wire encoding for `MetricsReport`: the derive would
-// always emit a `replication` key, changing every v4 frame. Emitting
-// the key only when the block is present keeps pre-v5 reports
-// byte-identical (`tests/wire_roundtrip.rs` pins the exact bytes), and
-// v4 frames decode with `replication: None`.
-impl Serialize for MetricsReport {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let mut fields = vec![
-            ("graph".to_string(), self.graph.to_value()),
-            ("epoch".to_string(), self.epoch.to_value()),
-            ("oldest_epoch".to_string(), self.oldest_epoch.to_value()),
-            ("history_depth".to_string(), self.history_depth.to_value()),
-            (
-                "ann_indexed_shards".to_string(),
-                self.ann_indexed_shards.to_value(),
-            ),
-            ("queries_served".to_string(), self.queries_served.to_value()),
-            (
-                "updates_applied".to_string(),
-                self.updates_applied.to_value(),
-            ),
-            ("classify_us".to_string(), self.classify_us.to_value()),
-            ("similar_us".to_string(), self.similar_us.to_value()),
-            ("embed_row_us".to_string(), self.embed_row_us.to_value()),
-            ("stats_us".to_string(), self.stats_us.to_value()),
-            ("metrics_us".to_string(), self.metrics_us.to_value()),
-            (
-                "apply_updates_us".to_string(),
-                self.apply_updates_us.to_value(),
-            ),
-            ("coalesce".to_string(), self.coalesce.to_value()),
-            ("overloaded".to_string(), self.overloaded.to_value()),
-            ("wal_fsyncs".to_string(), self.wal_fsyncs.to_value()),
-            ("ivf_builds".to_string(), self.ivf_builds.to_value()),
-            ("ivf_hits".to_string(), self.ivf_hits.to_value()),
-        ];
-        if let Some(r) = &self.replication {
-            fields.push(("replication".to_string(), r.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for MetricsReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::de_field;
-        Ok(MetricsReport {
-            graph: Deserialize::from_value(de_field(v, "graph")?)?,
-            epoch: Deserialize::from_value(de_field(v, "epoch")?)?,
-            oldest_epoch: Deserialize::from_value(de_field(v, "oldest_epoch")?)?,
-            history_depth: Deserialize::from_value(de_field(v, "history_depth")?)?,
-            ann_indexed_shards: Deserialize::from_value(de_field(v, "ann_indexed_shards")?)?,
-            queries_served: Deserialize::from_value(de_field(v, "queries_served")?)?,
-            updates_applied: Deserialize::from_value(de_field(v, "updates_applied")?)?,
-            classify_us: Deserialize::from_value(de_field(v, "classify_us")?)?,
-            similar_us: Deserialize::from_value(de_field(v, "similar_us")?)?,
-            embed_row_us: Deserialize::from_value(de_field(v, "embed_row_us")?)?,
-            stats_us: Deserialize::from_value(de_field(v, "stats_us")?)?,
-            metrics_us: Deserialize::from_value(de_field(v, "metrics_us")?)?,
-            apply_updates_us: Deserialize::from_value(de_field(v, "apply_updates_us")?)?,
-            coalesce: Deserialize::from_value(de_field(v, "coalesce")?)?,
-            overloaded: Deserialize::from_value(de_field(v, "overloaded")?)?,
-            wal_fsyncs: Deserialize::from_value(de_field(v, "wal_fsyncs")?)?,
-            ivf_builds: Deserialize::from_value(de_field(v, "ivf_builds")?)?,
-            ivf_hits: Deserialize::from_value(de_field(v, "ivf_hits")?)?,
-            replication: Deserialize::from_value(de_field(v, "replication")?)?,
-        })
-    }
-}
-
 /// Which side of the replication stream a server is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationRole {
     Leader,
     Follower,
 }
 
-/// The additive protocol-v5 `replication` block carried by both
+/// The `replication` block carried by both
 /// [`GraphReport`](crate::GraphReport) (`Stats`) and [`MetricsReport`]
 /// (`Metrics`). Both endpoints compute it from the same registry-wide
 /// state — they never disagree at quiescence — so lag gauges are
@@ -330,7 +256,7 @@ pub enum ReplicationRole {
 /// A leader fills the `shipped_*` counters and `follower_conns`; a
 /// follower fills the lag gauges from its pull loop's last heartbeat.
 /// Fields that belong to the other role read zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationReport {
     pub role: ReplicationRole,
     /// Follower: the pull loop currently holds a live leader

@@ -76,7 +76,6 @@ use std::time::Duration;
 
 use gee_core::{DynamicGee, Labels};
 use gee_graph::{Edge, EdgeList, VertexId, Weight};
-use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{self, Checkpoint, GraphCheckpoint};
 use crate::index::SearchPolicy;
@@ -88,7 +87,7 @@ use crate::wal::{self, Durability, SyncPolicy, WalRecord, WalWriter};
 use crate::ServeError;
 
 /// One streaming graph/label mutation. Part of the wire contract.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Update {
     /// Insert edge `(u, v, w)` (one direction; symmetric graphs send both).
     InsertEdge { u: VertexId, v: VertexId, w: Weight },
@@ -216,7 +215,7 @@ impl Entry {
             .clone()
     }
 
-    /// Retained epochs in the history ring right now (the protocol-v4
+    /// Retained epochs in the history ring right now (the
     /// `history_depth` metric; at most [`HistoryPolicy::keep`]).
     pub(crate) fn history_depth(&self) -> usize {
         self.history.read().expect("history lock poisoned").len()
@@ -638,7 +637,7 @@ impl Registry {
     }
 
     /// Data fsyncs the WAL writer has issued for appends since open —
-    /// the protocol-v4 `wal_fsyncs` metric. `0` on an in-memory
+    /// the `wal_fsyncs` metric. `0` on an in-memory
     /// registry (and under [`SyncPolicy::Never`](crate::SyncPolicy),
     /// which never syncs on the append path).
     pub fn wal_fsyncs(&self) -> u64 {
@@ -1250,7 +1249,7 @@ impl Registry {
         Ok(epoch)
     }
 
-    /// The protocol-v5 `replication` block carried by `Stats` and
+    /// The `replication` block carried by `Stats` and
     /// `Metrics`, or `None` when this registry neither leads nor
     /// follows. Both endpoints call this, so they never disagree at
     /// quiescence.
@@ -1342,9 +1341,7 @@ fn validate_batch(writer: &DynamicGee, updates: &[Update]) -> Result<(), ServeEr
                     }
                 }
                 // A NaN/Inf weight would poison every distance the
-                // embedding later feeds — and JSON cannot carry it,
-                // so accepting it in-process would break Engine ==
-                // Client equivalence.
+                // embedding later feeds.
                 if !w.is_finite() {
                     return Err(ServeError::NonFinite {
                         param: format!("weight of edge ({u}, {v})"),

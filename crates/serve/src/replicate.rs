@@ -44,7 +44,7 @@
 //!
 //! # Promotion & fencing
 //!
-//! Stream version 2 adds a **leader epoch**: a monotonically increasing
+//! Every session carries a **leader epoch**: a monotonically increasing
 //! fencing token, durably persisted in each node's data dir (a
 //! `leader-epoch` file plus every checkpoint — see
 //! [`crate::wal::save_leader_epoch`]) and recovered on open. The
@@ -67,8 +67,8 @@
 //! the pull loop at the durable high water, bumps and persists the
 //! epoch, flips the registry writable, and (optionally) warms a
 //! [`ReplicationListener`] so surviving followers re-point and resume
-//! from their own LSNs. A v1 peer (no epoch in its frames) is still
-//! served for compatibility, without fencing protection.
+//! from their own LSNs. The epoch is mandatory on the wire: a frame
+//! without one does not decode, so nothing can be applied unfenced.
 //!
 //! # Consistency
 //!
@@ -100,16 +100,11 @@ pub use leader::ReplicationListener;
 /// handshake instead of desynchronizing the stream.
 pub const REPL_MAGIC: &[u8; 8] = b"GEEREPL1";
 
-/// Version of the replication stream protocol itself (independent of
-/// the client wire protocol's [`crate::wire::PROTOCOL_VERSION`]).
-/// v2 added the leader epoch (fencing token) to `Hello`, `Bootstrap`,
-/// `Stream`, and `Heartbeat`.
+/// The one version of the replication stream protocol this build speaks
+/// (independent of the client wire protocol's
+/// [`crate::wire::PROTOCOL_VERSION`]); a leader ends any other `Hello`
+/// with a typed `End`.
 pub const REPL_STREAM_VERSION: u32 = 2;
-
-/// Oldest stream version a leader still serves. A v1 follower gets
-/// epoch-free frames (no fencing protection) but an otherwise identical
-/// stream.
-pub const MIN_REPL_STREAM_VERSION: u32 = 1;
 
 /// Cap on one replication frame: a WAL record plus framing slack.
 /// (The bootstrap checkpoint frame is read under
@@ -130,10 +125,8 @@ const MAX_DETAIL_LEN: usize = 1 << 16;
 /// exchange order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplFrame {
-    /// Follower → leader: magic + stream version + resume LSN, plus (v2)
-    /// the highest leader epoch the follower has durably replicated
-    /// under. Encoded only when `version >= 2`; a v1 Hello decodes with
-    /// `max_epoch_seen = 0`.
+    /// Follower → leader: magic + stream version + resume LSN + the
+    /// highest leader epoch the follower has durably replicated under.
     Hello {
         version: u32,
         start_lsn: u64,
@@ -141,25 +134,20 @@ pub enum ReplFrame {
     },
     /// Leader → follower: a checkpoint at `lsn` follows as one raw
     /// frame; install it, then expect `Stream { from_lsn: lsn }`.
-    /// `leader_epoch` is `None` on a v1 session.
-    Bootstrap { lsn: u64, leader_epoch: Option<u64> },
+    Bootstrap { lsn: u64, leader_epoch: u64 },
     /// Leader → follower: records ship from `from_lsn` (must equal the
     /// follower's high water once any bootstrap is installed).
-    /// `leader_epoch` is `None` on a v1 session.
-    Stream {
-        from_lsn: u64,
-        leader_epoch: Option<u64>,
-    },
+    Stream { from_lsn: u64, leader_epoch: u64 },
     /// One WAL record: `record` is the exact
     /// [`wal::encode_record`] payload the leader's log holds at `lsn`.
     Record { lsn: u64, record: Vec<u8> },
     /// Leader liveness + lag oracle: the leader's append head and its
-    /// published epoch per graph (sorted by name), plus (v2) the leader
+    /// published epoch per graph (sorted by name), plus the leader
     /// epoch so a mid-stream deposition is caught at the next beat.
     Heartbeat {
         next_lsn: u64,
         epochs: Vec<(String, u64)>,
-        leader_epoch: Option<u64>,
+        leader_epoch: u64,
     },
     /// The leader is done with this connection (shutdown, or it cannot
     /// serve the requested range); the follower reconnects with
@@ -183,18 +171,12 @@ impl ReplFrame {
                 buf.extend_from_slice(REPL_MAGIC);
                 put_u32(&mut buf, *version);
                 put_u64(&mut buf, *start_lsn);
-                // A v1-shaped Hello must stay byte-identical, so the
-                // epoch rides only on v2+ frames.
-                if *version >= 2 {
-                    put_u64(&mut buf, *max_epoch_seen);
-                }
+                put_u64(&mut buf, *max_epoch_seen);
             }
             ReplFrame::Bootstrap { lsn, leader_epoch } => {
                 put_u8(&mut buf, TAG_BOOTSTRAP);
                 put_u64(&mut buf, *lsn);
-                if let Some(epoch) = leader_epoch {
-                    put_u64(&mut buf, *epoch);
-                }
+                put_u64(&mut buf, *leader_epoch);
             }
             ReplFrame::Stream {
                 from_lsn,
@@ -202,9 +184,7 @@ impl ReplFrame {
             } => {
                 put_u8(&mut buf, TAG_STREAM);
                 put_u64(&mut buf, *from_lsn);
-                if let Some(epoch) = leader_epoch {
-                    put_u64(&mut buf, *epoch);
-                }
+                put_u64(&mut buf, *leader_epoch);
             }
             ReplFrame::Record { lsn, record } => {
                 put_u8(&mut buf, TAG_RECORD);
@@ -223,9 +203,7 @@ impl ReplFrame {
                     put_str(&mut buf, name);
                     put_u64(&mut buf, *epoch);
                 }
-                if let Some(epoch) = leader_epoch {
-                    put_u64(&mut buf, *epoch);
-                }
+                put_u64(&mut buf, *leader_epoch);
             }
             ReplFrame::End { detail } => {
                 put_u8(&mut buf, TAG_END);
@@ -252,11 +230,7 @@ impl ReplFrame {
                 }
                 let version = c.take_u32("stream version")?;
                 let start_lsn = c.take_u64("start lsn")?;
-                let max_epoch_seen = if version >= 2 {
-                    c.take_u64("max epoch seen")?
-                } else {
-                    0
-                };
+                let max_epoch_seen = c.take_u64("max epoch seen")?;
                 c.finish("Hello frame")?;
                 Ok(ReplFrame::Hello {
                     version,
@@ -266,13 +240,13 @@ impl ReplFrame {
             }
             TAG_BOOTSTRAP => {
                 let lsn = c.take_u64("bootstrap lsn")?;
-                let leader_epoch = take_opt_epoch(&mut c, "bootstrap leader epoch")?;
+                let leader_epoch = c.take_u64("bootstrap leader epoch")?;
                 c.finish("Bootstrap frame")?;
                 Ok(ReplFrame::Bootstrap { lsn, leader_epoch })
             }
             TAG_STREAM => {
                 let from_lsn = c.take_u64("stream start lsn")?;
-                let leader_epoch = take_opt_epoch(&mut c, "stream leader epoch")?;
+                let leader_epoch = c.take_u64("stream leader epoch")?;
                 c.finish("Stream frame")?;
                 Ok(ReplFrame::Stream {
                     from_lsn,
@@ -297,7 +271,7 @@ impl ReplFrame {
                     let epoch = c.take_u64("graph epoch")?;
                     epochs.push((name, epoch));
                 }
-                let leader_epoch = take_opt_epoch(&mut c, "heartbeat leader epoch")?;
+                let leader_epoch = c.take_u64("heartbeat leader epoch")?;
                 c.finish("Heartbeat frame")?;
                 Ok(ReplFrame::Heartbeat {
                     next_lsn,
@@ -317,20 +291,8 @@ impl ReplFrame {
     }
 }
 
-/// Decode the optional trailing leader-epoch a v2 session appends to
-/// `Bootstrap`/`Stream`/`Heartbeat`: exactly 8 remaining bytes is the
-/// epoch, 0 is a v1 frame, and anything else falls through to the
-/// caller's `finish` as malformed.
-fn take_opt_epoch(c: &mut Cursor<'_>, what: &'static str) -> Result<Option<u64>, FrameError> {
-    if c.remaining() == 8 {
-        Ok(Some(c.take_u64(what)?))
-    } else {
-        Ok(None)
-    }
-}
-
 /// Shared live view of a follower's pull loop: the registry reads it to
-/// build the protocol-v5 `replication` report
+/// build the `replication` report
 /// ([`crate::Registry`]`::replication_report`), tests and operators
 /// read it through [`Follower::status`].
 pub struct ReplicationStatus {
@@ -459,27 +421,13 @@ mod tests {
             start_lsn: u64::MAX,
             max_epoch_seen: 17,
         });
-        // A v1 Hello has no epoch field (canonically zero).
-        roundtrip(ReplFrame::Hello {
-            version: 1,
-            start_lsn: 3,
-            max_epoch_seen: 0,
-        });
-        roundtrip(ReplFrame::Bootstrap {
-            lsn: 0,
-            leader_epoch: None,
-        });
         roundtrip(ReplFrame::Bootstrap {
             lsn: 12,
-            leader_epoch: Some(4),
+            leader_epoch: 4,
         });
         roundtrip(ReplFrame::Stream {
             from_lsn: 42,
-            leader_epoch: None,
-        });
-        roundtrip(ReplFrame::Stream {
-            from_lsn: 42,
-            leader_epoch: Some(u64::MAX),
+            leader_epoch: u64::MAX,
         });
         roundtrip(ReplFrame::Record {
             lsn: 7,
@@ -492,49 +440,55 @@ mod tests {
         roundtrip(ReplFrame::Heartbeat {
             next_lsn: 99,
             epochs: vec![("a".into(), 3), ("graph-ü".into(), u64::MAX)],
-            leader_epoch: Some(2),
+            leader_epoch: 2,
         });
         roundtrip(ReplFrame::Heartbeat {
             next_lsn: 0,
             epochs: Vec::new(),
-            leader_epoch: None,
+            leader_epoch: 0,
         });
         roundtrip(ReplFrame::End {
             detail: "leader shutting down".into(),
         });
     }
 
+    /// The fencing token is mandatory: a frame missing its 8-byte epoch
+    /// is a decode error, never "a session without fencing".
     #[test]
-    fn v1_hello_bytes_decode_without_epoch() {
-        // The v1 wire shape — tag + magic + version + start_lsn, 21
-        // bytes — must keep decoding (version negotiation).
-        let v1 = ReplFrame::Hello {
-            version: 1,
-            start_lsn: 9,
-            max_epoch_seen: 0,
-        }
-        .encode();
-        assert_eq!(v1.len(), 21);
-        let v2 = ReplFrame::Hello {
-            version: 2,
-            start_lsn: 9,
-            max_epoch_seen: 6,
-        }
-        .encode();
-        assert_eq!(v2.len(), 29);
-        assert_eq!(
-            ReplFrame::decode(&v1).unwrap(),
+    fn epochless_frames_are_malformed() {
+        let frames = [
+            // Without its epoch, 21 bytes: tag + magic + version +
+            // start_lsn.
             ReplFrame::Hello {
                 version: 1,
                 start_lsn: 9,
                 max_epoch_seen: 0,
-            }
-        );
-        // A v2 Hello without its epoch field is malformed, not a guess.
-        assert!(matches!(
-            ReplFrame::decode(&v2[..21]),
-            Err(FrameError::Malformed { .. })
-        ));
+            },
+            ReplFrame::Bootstrap {
+                lsn: 12,
+                leader_epoch: 0,
+            },
+            ReplFrame::Stream {
+                from_lsn: 42,
+                leader_epoch: 0,
+            },
+            ReplFrame::Heartbeat {
+                next_lsn: 99,
+                epochs: vec![("a".into(), 3)],
+                leader_epoch: 0,
+            },
+        ];
+        for frame in frames {
+            let full = frame.encode();
+            let epochless = &full[..full.len() - 8];
+            assert!(
+                matches!(
+                    ReplFrame::decode(epochless),
+                    Err(FrameError::Malformed { .. })
+                ),
+                "{frame:?}"
+            );
+        }
     }
 
     #[test]
@@ -561,7 +515,7 @@ mod tests {
     fn trailing_bytes_are_malformed() {
         let mut stream = ReplFrame::Stream {
             from_lsn: 1,
-            leader_epoch: None,
+            leader_epoch: 0,
         }
         .encode();
         stream.push(0);

@@ -314,18 +314,11 @@ fn pull_once(
     }
 }
 
-/// Vet the leader epoch advertised on a handshake/heartbeat frame:
-/// `None` (a v1 leader) passes epoch-free; a stale epoch is the typed
-/// split-brain rejection (nothing from this session is applied after
-/// it); a newer epoch is durably noted so this follower holds every
-/// future leader to it.
-fn accept_leader_epoch(
-    registry: &Arc<Registry>,
-    leader_epoch: Option<u64>,
-) -> Result<(), ServeError> {
-    let Some(epoch) = leader_epoch else {
-        return Ok(());
-    };
+/// Vet the leader epoch advertised on a handshake/heartbeat frame: a
+/// stale epoch is the typed split-brain rejection (nothing from this
+/// session is applied after it); a newer epoch is durably noted so this
+/// follower holds every future leader to it.
+fn accept_leader_epoch(registry: &Arc<Registry>, epoch: u64) -> Result<(), ServeError> {
     let seen = registry.leader_epoch();
     if epoch < seen {
         return Err(ServeError::StaleLeader {

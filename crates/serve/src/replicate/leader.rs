@@ -26,7 +26,7 @@ use crate::registry::Registry;
 use crate::server::{spawn_accept_loop, ServerHandle};
 use crate::{checkpoint, wal, ServeError};
 
-use super::{ReplFrame, MAX_REPL_FRAME_LEN, MIN_REPL_STREAM_VERSION, REPL_STREAM_VERSION};
+use super::{ReplFrame, MAX_REPL_FRAME_LEN, REPL_STREAM_VERSION};
 
 /// How often an idle leader proves liveness (and refreshes the
 /// follower's lag oracle).
@@ -142,12 +142,12 @@ fn serve_follower(
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let hello = frame::read_frame(&mut stream, MAX_REPL_FRAME_LEN)
         .map_err(|e| ServeError::protocol(format!("replication handshake: {e}")))?;
-    let (mut next, epochs_on) = match ReplFrame::decode(&hello) {
+    let mut next = match ReplFrame::decode(&hello) {
         Ok(ReplFrame::Hello {
-            version,
+            version: REPL_STREAM_VERSION,
             start_lsn,
             max_epoch_seen,
-        }) if (MIN_REPL_STREAM_VERSION..=REPL_STREAM_VERSION).contains(&version) => {
+        }) => {
             // The deposed-leader self-fence: a follower that has
             // durably seen a newer leader epoch proves we were
             // superseded while partitioned. Fence before shipping a
@@ -168,9 +168,7 @@ fn serve_follower(
                     seen_epoch: max_epoch_seen,
                 });
             }
-            // v1 followers predate epochs: serve them records, but
-            // leave the fencing fields off their frames.
-            (start_lsn, version >= 2)
+            start_lsn
         }
         Ok(ReplFrame::Hello { version, .. }) => {
             end(
@@ -179,7 +177,7 @@ fn serve_follower(
             );
             return Err(ServeError::protocol(format!(
                 "replication stream version {version} (this build speaks \
-                 {MIN_REPL_STREAM_VERSION}..={REPL_STREAM_VERSION})"
+                 {REPL_STREAM_VERSION})"
             )));
         }
         Ok(_) | Err(_) => {
@@ -228,7 +226,7 @@ fn serve_follower(
             &mut stream,
             &ReplFrame::Bootstrap {
                 lsn: ckpt.lsn,
-                leader_epoch: epochs_on.then_some(my_epoch),
+                leader_epoch: my_epoch,
             },
         )?;
         frame::write_frame(&mut stream, &checkpoint::encode(&ckpt))
@@ -239,7 +237,7 @@ fn serve_follower(
         &mut stream,
         &ReplFrame::Stream {
             from_lsn: next,
-            leader_epoch: epochs_on.then_some(my_epoch),
+            leader_epoch: my_epoch,
         },
     )?;
     let metrics = registry.serve_metrics();
@@ -282,7 +280,7 @@ fn serve_follower(
                 &ReplFrame::Heartbeat {
                     next_lsn: high,
                     epochs: registry.published_epochs(),
-                    leader_epoch: epochs_on.then_some(my_epoch),
+                    leader_epoch: my_epoch,
                 },
             )?;
             last_beat = Some(Instant::now());

@@ -21,7 +21,7 @@
 //! services one frame at a time per connection), which is what makes
 //! client-side pipelining safe.
 //!
-//! Epoch-pinned reads (protocol v2's `at_epoch`) and back-pressure need
+//! Epoch-pinned reads (`at_epoch`) and back-pressure need
 //! no special handling here: pins resolve inside
 //! [`Engine::execute_batch`] against the registry's history ring, and an
 //! overloaded write comes back as a per-request
@@ -35,14 +35,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::codec::FrameCodec;
+use crate::codec::{decode_client_frame, encode_server_frame};
 use crate::engine::Engine;
 use crate::poller::{self, Interest, Source, WakeRx, Waker};
 use crate::transport::Transport;
 use crate::wire::{self, ClientFrame, ServerFrame, MAX_FRAME_LEN};
 use crate::ServeError;
 
-/// Serves an [`Engine`] over the wire protocol (v6 current, v1–v5 spoken).
+/// Serves an [`Engine`] over the wire protocol.
 #[derive(Clone)]
 pub struct Server {
     engine: Arc<Engine>,
@@ -70,12 +70,10 @@ pub(crate) enum Step {
 
 /// The per-connection protocol state machine, shared by the blocking
 /// [`Server::serve_connection`] and the worker pool: one encoded client
-/// frame in, one [`Step`] out. Owns the handshake (always JSON) and the
-/// post-handshake codec choice (binary from protocol v6, JSON below).
+/// frame in, one [`Step`] out.
 pub(crate) struct ConnProtocol {
     server: Server,
-    version: Option<u32>,
-    codec: FrameCodec,
+    handshaken: bool,
     report: ConnectionReport,
 }
 
@@ -83,10 +81,7 @@ impl ConnProtocol {
     pub(crate) fn new(server: Server) -> ConnProtocol {
         ConnProtocol {
             server,
-            version: None,
-            // Until the handshake resolves, everything (including a
-            // version-refusal Error frame) is JSON.
-            codec: FrameCodec::Json,
+            handshaken: false,
             report: ConnectionReport {
                 batches: 0,
                 requests: 0,
@@ -94,57 +89,31 @@ impl ConnProtocol {
         }
     }
 
-    pub(crate) fn handshaken(&self) -> bool {
-        self.version.is_some()
-    }
-
-    pub(crate) fn report(&self) -> ConnectionReport {
-        self.report
-    }
-
-    fn fatal(&self, error: ServeError) -> Step {
-        let frame = self.codec.encode_server(&ServerFrame::Error {
-            error: error.clone(),
-        });
-        Step::Fatal(frame, error)
-    }
-
     /// Advance the connection by one frame.
     pub(crate) fn step(&mut self, frame: &[u8]) -> Step {
-        let Some(_) = self.version else {
-            return self.handshake(frame);
-        };
-        match self.codec.decode_client(frame) {
-            Ok(ClientFrame::Batch { id, requests }) => self.batch(id, requests),
-            Ok(ClientFrame::Goodbye) => Step::Goodbye,
-            Ok(ClientFrame::Hello { .. }) => {
-                self.fatal(ServeError::protocol("duplicate Hello after handshake"))
-            }
+        let frame = match decode_client_frame(frame) {
+            Ok(frame) => frame,
             // The stream may be desynchronized; close rather than guess
             // at the next frame boundary.
-            Err(error) => self.fatal(error),
-        }
-    }
-
-    fn handshake(&mut self, frame: &[u8]) -> Step {
-        let (min_version, max_version) = match wire::decode::<ClientFrame>(frame) {
-            Ok(ClientFrame::Hello {
+            Err(error) => return fatal(error),
+        };
+        match frame {
+            ClientFrame::Hello {
                 min_version,
                 max_version,
-            }) => (min_version, max_version),
-            Ok(_) => return self.fatal(ServeError::protocol("first frame must be Hello")),
-            Err(error) => return self.fatal(error),
-        };
-        match wire::negotiate(min_version, max_version) {
-            Ok(version) => {
-                // The ack itself rides JSON; every frame after it rides
-                // the codec the negotiated version implies.
-                let ack = wire::encode(&ServerFrame::HelloAck { version });
-                self.version = Some(version);
-                self.codec = FrameCodec::for_version(version);
-                Step::Reply(ack)
+            } if !self.handshaken => match wire::negotiate(min_version, max_version) {
+                Ok(version) => {
+                    self.handshaken = true;
+                    Step::Reply(encode_server_frame(&ServerFrame::HelloAck { version }))
+                }
+                Err(error) => fatal(error),
+            },
+            _ if !self.handshaken => fatal(ServeError::protocol("first frame must be Hello")),
+            ClientFrame::Hello { .. } => {
+                fatal(ServeError::protocol("duplicate Hello after handshake"))
             }
-            Err(error) => self.fatal(error),
+            ClientFrame::Batch { id, requests } => self.batch(id, requests),
+            ClientFrame::Goodbye => Step::Goodbye,
         }
     }
 
@@ -153,9 +122,7 @@ impl ConnProtocol {
         self.report.requests += requests.len() as u64;
         let num_requests = requests.len();
         let results = self.server.engine.execute_batch(requests);
-        let mut frame = self
-            .codec
-            .encode_server(&ServerFrame::Batch { id, results });
+        let mut frame = encode_server_frame(&ServerFrame::Batch { id, results });
         if frame.len() > MAX_FRAME_LEN {
             // A valid request can legitimately produce an over-cap
             // response (e.g. many EmbedRow queries on a wide embedding).
@@ -168,17 +135,23 @@ impl ConnProtocol {
             };
             let results: Vec<Result<crate::engine::Response, ServeError>> =
                 (0..num_requests).map(|_| Err(error.clone())).collect();
-            frame = self
-                .codec
-                .encode_server(&ServerFrame::Batch { id, results });
+            frame = encode_server_frame(&ServerFrame::Batch { id, results });
             if frame.len() > MAX_FRAME_LEN {
                 // Even the substituted errors overflow (astronomically
                 // many requests): fatal.
-                return self.fatal(error);
+                return fatal(error);
             }
         }
         Step::Reply(frame)
     }
+}
+
+/// A connection-fatal error: tell the peer, then close.
+fn fatal(error: ServeError) -> Step {
+    let frame = encode_server_frame(&ServerFrame::Error {
+        error: error.clone(),
+    });
+    Step::Fatal(frame, error)
 }
 
 impl Server {
@@ -205,17 +178,17 @@ impl Server {
         while let Some(frame) = transport.recv()? {
             match proto.step(&frame) {
                 Step::Reply(bytes) => transport.send(bytes)?,
-                Step::Goodbye => return Ok(proto.report()),
+                Step::Goodbye => return Ok(proto.report),
                 Step::Fatal(bytes, error) => {
                     transport.send(bytes)?;
                     return Err(error);
                 }
             }
         }
-        if !proto.handshaken() {
+        if !proto.handshaken {
             return Err(ServeError::protocol("connection closed before Hello"));
         }
-        Ok(proto.report())
+        Ok(proto.report)
     }
 
     /// Bind `addr` and serve connections on the default-sized worker
@@ -432,10 +405,7 @@ impl Conn {
                 let error = ServeError::protocol(format!(
                     "peer announced {len}-byte frame (max {MAX_FRAME_LEN})"
                 ));
-                let frame = self
-                    .proto
-                    .codec
-                    .encode_server(&ServerFrame::Error { error });
+                let frame = encode_server_frame(&ServerFrame::Error { error });
                 self.push_frame(frame);
                 self.closing = true;
                 break;
@@ -688,5 +658,131 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown_in_place();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{decode_server_frame, encode_client_frame};
+    use crate::engine::{Envelope, Request};
+    use crate::wire::PROTOCOL_VERSION;
+    use crate::{duplex, Registry};
+
+    fn server() -> Server {
+        Server::new(Arc::new(Engine::new(Arc::new(Registry::new(1)))))
+    }
+
+    fn hello(min_version: u32, max_version: u32) -> Vec<u8> {
+        encode_client_frame(&ClientFrame::Hello {
+            min_version,
+            max_version,
+        })
+    }
+
+    fn batch(id: u64, requests: usize) -> Vec<u8> {
+        encode_client_frame(&ClientFrame::Batch {
+            id,
+            requests: vec![Envelope::new("g", Request::stats()); requests],
+        })
+    }
+
+    fn reply(proto: &mut ConnProtocol, frame: &[u8]) -> ServerFrame {
+        match proto.step(frame) {
+            Step::Reply(bytes) => decode_server_frame(&bytes).unwrap(),
+            _ => panic!("expected a reply"),
+        }
+    }
+
+    #[test]
+    fn a_connection_is_hello_then_batches_then_goodbye() {
+        let mut proto = ConnProtocol::new(server());
+        assert_eq!(
+            reply(&mut proto, &hello(1, PROTOCOL_VERSION + 2)),
+            ServerFrame::HelloAck {
+                version: PROTOCOL_VERSION
+            }
+        );
+        // Ids echo in order; each request fails on its own (no graph "g"
+        // here) without costing the connection.
+        for (id, requests) in [(4, 3), (9, 2)] {
+            match reply(&mut proto, &batch(id, requests)) {
+                ServerFrame::Batch { id: got, results } => {
+                    assert_eq!(got, id);
+                    assert_eq!(results.len(), requests);
+                    assert!(results.iter().all(Result::is_err));
+                }
+                other => panic!("expected Batch, got {other:?}"),
+            }
+        }
+        let goodbye = encode_client_frame(&ClientFrame::Goodbye);
+        assert!(matches!(proto.step(&goodbye), Step::Goodbye));
+        assert_eq!((proto.report.batches, proto.report.requests), (2, 5));
+    }
+
+    /// Feed `frames` in order; the last one must be connection-fatal.
+    /// Returns what it died of, having checked the peer is told the
+    /// same thing in a frame it can decode.
+    fn dies_of(frames: &[Vec<u8>]) -> ServeError {
+        let mut proto = ConnProtocol::new(server());
+        let (last, before) = frames.split_last().unwrap();
+        for frame in before {
+            assert!(matches!(proto.step(frame), Step::Reply(_)));
+        }
+        let Step::Fatal(bytes, error) = proto.step(last) else {
+            panic!("expected a fatal step");
+        };
+        assert_eq!(
+            decode_server_frame(&bytes).unwrap(),
+            ServerFrame::Error {
+                error: error.clone()
+            }
+        );
+        error
+    }
+
+    #[test]
+    fn protocol_violations_are_fatal_and_typed() {
+        let current = hello(PROTOCOL_VERSION, PROTOCOL_VERSION);
+        let garbage = b"not a frame".to_vec();
+        // A well-formed JSON Hello is garbage too: the one codec is the
+        // only parser, from the first byte.
+        let json_hello = br#"{"Hello":{"min_version":1,"max_version":6}}"#.to_vec();
+        let goodbye = encode_client_frame(&ClientFrame::Goodbye);
+        for (frames, needle) in [
+            (vec![garbage.clone()], "checksum"),
+            (vec![json_hello], "checksum"),
+            (vec![batch(0, 1)], "first frame must be Hello"),
+            (vec![goodbye], "first frame must be Hello"),
+            (vec![current.clone(), current.clone()], "duplicate Hello"),
+            (vec![current, garbage], "checksum"),
+        ] {
+            let error = dies_of(&frames);
+            assert!(
+                matches!(&error, ServeError::Protocol { detail } if detail.contains(needle)),
+                "{error}"
+            );
+        }
+        // A range that stops short of this version is refused by name.
+        assert_eq!(
+            dies_of(&[hello(1, PROTOCOL_VERSION - 1)]),
+            ServeError::VersionUnsupported {
+                client_min: 1,
+                client_max: PROTOCOL_VERSION - 1,
+                server_min: PROTOCOL_VERSION,
+                server_max: PROTOCOL_VERSION,
+            }
+        );
+    }
+
+    #[test]
+    fn hanging_up_before_hello_is_a_protocol_error() {
+        let (mut server_end, client_end) = duplex();
+        drop(client_end);
+        let served = server().serve_connection(&mut server_end);
+        assert_eq!(
+            served,
+            Err(ServeError::protocol("connection closed before Hello"))
+        );
     }
 }

@@ -245,7 +245,7 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
 }
 
 /// Encode one [`Update`] in the tagged binary layout. Shared with the
-/// protocol-v6 binary wire codec so an update has exactly one binary
+/// wire codec ([`crate::codec`]) so an update has exactly one binary
 /// encoding in the system.
 pub(crate) fn encode_update(buf: &mut Vec<u8>, update: &Update) {
     match *update {
@@ -870,7 +870,7 @@ impl WalWriter {
     }
 
     /// Data fsyncs issued by appends since this writer opened (the
-    /// protocol-v4 `wal_fsyncs` metric). Resets with the process, like
+    /// `wal_fsyncs` metric). Resets with the process, like
     /// every serving counter; segment rotation does not reset it.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs

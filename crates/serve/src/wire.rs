@@ -1,40 +1,27 @@
-//! Wire protocol: versioned, transport-agnostic frame types (v6 current,
-//! v1–v5 still spoken).
+//! Wire protocol: the frame vocabulary and version negotiation.
 //!
-//! A *frame* is one [`ClientFrame`] or [`ServerFrame`] encoded as compact
-//! JSON via the workspace serde layer (externally-tagged enums, exact
-//! 64-bit integers) on protocol v1–v5, or as a CRC-checked tagged binary
-//! body on v6+ ([`crate::codec`]). Framing — how frame boundaries are
-//! found in a byte stream — belongs to the
+//! A *frame* is one [`ClientFrame`] or [`ServerFrame`], encoded by
+//! [`crate::codec`] — a CRC-checked tagged binary body, the only encoding
+//! there is, handshake included. Framing — how frame boundaries are found
+//! in a byte stream — belongs to the
 //! [`Transport`](crate::transport::Transport): TCP length-prefixes each
-//! frame with a big-endian `u32`, the in-process duplex moves the
-//! encoded `Vec<u8>` through a channel untouched.
+//! frame with a big-endian `u32` (capped at [`MAX_FRAME_LEN`]), the
+//! in-process duplex moves the encoded `Vec<u8>` through a channel
+//! untouched.
 //!
-//! # Protocol versions at a glance
+//! The server speaks exactly one version, [`PROTOCOL_VERSION`]: every
+//! caller (CLI, load generator, followers, the benchmark) is built from
+//! this tree, so there is no downlevel peer to stay compatible with.
+//! [`negotiate`] accepts any advertised range that contains it and
+//! refuses every other with a typed
+//! [`ServeError::VersionUnsupported`] naming both ranges.
 //!
-//! | Version | Added | Negotiation / byte-stability guarantee |
-//! |---------|-------|----------------------------------------|
-//! | v1 | handshake, pipelined `Batch`, per-slot errors | baseline; still spoken ([`MIN_PROTOCOL_VERSION`]) |
-//! | v2 | `at_epoch` pins on reads; `EpochEvicted`/`Overloaded` codes | unpinned requests byte-identical to v1 |
-//! | v3 | per-request `search` policy overrides | requests without overrides byte-identical to v2 |
-//! | v4 | `Metrics` request/response pair | every v1–v3 frame byte-identical |
-//! | v5 | replication: `ReadOnlyReplica` code, `replication` report block | non-replicating reports byte-identical to v4 |
-//! | v6 | binary frame codec ([`BINARY_FRAME_VERSION`], [`crate::codec`]) | handshake stays JSON; v1–v5 JSON frames untouched |
-//!
-//! [`negotiate`] always picks the highest version both sides speak —
-//! `min(client_max, PROTOCOL_VERSION)` — and fails with a typed
-//! [`ServeError::VersionUnsupported`] naming both ranges when the
-//! ranges are disjoint. Every bump is additive: a frame that does not
-//! use a newer feature encodes byte-identically to its oldest form
-//! (pinned by `tests/wire_roundtrip.rs`), so old clients and servers
-//! interoperate without flags.
-//!
-//! Connection lifecycle:
+//! # Connection lifecycle
 //!
 //! 1. client sends [`ClientFrame::Hello`] advertising the protocol
 //!    versions it can speak;
 //! 2. server answers [`ServerFrame::HelloAck`] with the negotiated
-//!    version ([`negotiate`]), or [`ServerFrame::Error`] with
+//!    version, or [`ServerFrame::Error`] with
 //!    [`ServeError::VersionUnsupported`] and closes;
 //! 3. client sends any number of [`ClientFrame::Batch`] frames — each an
 //!    ordered [`Envelope`] batch with a client-chosen `id` — without
@@ -45,144 +32,34 @@
 //!    connection.
 //!
 //! Per-request failures ride *inside* `ServerFrame::Batch` as
-//! `Err(ServeError)` results; `ServerFrame::Error` is reserved for
-//! connection-fatal conditions (handshake failure, malformed frame).
+//! `Err(ServeError)` results, identified by the append-only
+//! [`ErrorCode`](crate::ErrorCode) registry; `ServerFrame::Error` is
+//! reserved for connection-fatal conditions (handshake failure,
+//! malformed frame).
 //!
-//! # Protocol v2: epoch-pinned reads
+//! The leader→follower replication stream does *not* ride this protocol
+//! — it is a separate CRC-framed stream documented in
+//! [`crate::replicate`].
 //!
-//! v2 adds an optional `at_epoch` field to the read requests
-//! (`Classify`/`Similar`/`EmbedRow`/`Stats`) and two error codes
-//! ([`crate::ErrorCode::EpochEvicted`] = 13,
-//! [`crate::ErrorCode::Overloaded`] = 14). The extension is **additive**:
-//! an unpinned request encodes byte-identically to its v1 frame (no
-//! `at_epoch` key; `Stats` stays the bare string), and v1 frames decode
-//! with `at_epoch: None` — so this build still speaks v1
-//! ([`MIN_PROTOCOL_VERSION`]). A client that negotiated v1 refuses to
-//! send pins ([`EPOCH_PIN_VERSION`]): a v1 server would silently ignore
-//! the unknown key and answer from the newest epoch.
+//! # Changing the protocol
 //!
-//! # Protocol v3: search-policy overrides (approximate search)
-//!
-//! v3 adds an optional `search` field to `Classify` and `Similar` — a
-//! per-request [`SearchPolicy`](crate::SearchPolicy) override choosing
-//! between the exact scan and IVF approximate search (see
-//! [`crate::index`]). Like v2, the extension is **additive**: a request
-//! without an override encodes byte-identically to its v2 (and, if
-//! unpinned, v1) frame, and older frames decode with `search: None`. A
-//! client that negotiated below [`SEARCH_POLICY_VERSION`] refuses to
-//! send overrides: a downlevel server would silently ignore the key and
-//! answer with its configured default — plausible data, wrong
-//! exactness contract.
-//!
-//! # Protocol v4: server metrics
-//!
-//! v4 adds the [`Request::Metrics`](crate::Request::Metrics) /
-//! [`Response::Metrics`](crate::Response::Metrics) pair: a read-only
-//! observability probe returning the server's atomically-maintained
-//! counters ([`MetricsReport`](crate::metrics::MetricsReport)) —
-//! per-request-type counts with log2-bucketed latency histograms, batch
-//! coalesce sizes, back-pressure (`Overloaded`) rejections, epoch
-//! history depth, WAL fsync count, and IVF index build/hit counters.
-//! Like v2 and v3, the extension is **additive**: every v1–v3 request
-//! still encodes byte-identically (`Metrics` is a brand-new variant, a
-//! bare `"Metrics"` string in the externally-tagged encoding), and
-//! older frames decode unchanged. A client that negotiated below
-//! [`METRICS_VERSION`] refuses to send `Metrics`: a downlevel server
-//! would reject the unknown variant as a malformed frame and close the
-//! connection, taking the client's pipelined batches with it.
-//!
-//! # Protocol v5: replication
-//!
-//! v5 is the read-replica release ([`crate::replicate`]). On the
-//! client-facing wire it adds:
-//!
-//! * the [`crate::ErrorCode::ReadOnlyReplica`] = 15 error code — a
-//!   write (`ApplyUpdates`) sent to a follower is rejected with it,
-//!   naming the leader to retry against;
-//! * an optional `replication` block on
-//!   [`GraphReport`](crate::GraphReport) and
-//!   [`MetricsReport`](crate::metrics::MetricsReport)
-//!   ([`ReplicationReport`](crate::metrics::ReplicationReport)): role,
-//!   shipped-record/byte counters on a leader, lag in epochs and LSNs
-//!   plus the durable high-water LSN on a follower.
-//!
-//! Like every extension before it, v5 is **additive**: a report from a
-//! non-replicating server omits the `replication` key entirely, so
-//! v1–v4 frames stay byte-identical (pinned by
-//! `tests/wire_roundtrip.rs`), and pre-v5 frames decode with
-//! `replication: None`. The leader→follower stream itself does *not*
-//! ride this protocol — it is a separate binary CRC-framed stream
-//! documented in [`crate::replicate`].
-//!
-//! # Protocol v6: binary frames
-//!
-//! v6 changes the frame *encoding*, not the frame *vocabulary*: the
-//! same `ClientFrame`/`ServerFrame` values ride a compact tagged binary
-//! layout with a CRC-32 body checksum ([`crate::codec`]) instead of
-//! JSON. The handshake (`Hello`, `HelloAck`, and any pre-negotiation
-//! `Error`) is **always JSON** in both directions, so negotiation
-//! itself never depends on the version being negotiated; every frame
-//! after a `HelloAck { version: 6+ }` is binary. A v6 client meeting a
-//! v5 server negotiates 5 and speaks JSON automatically — no refusal
-//! gate is needed because the feature set is unchanged. v1–v5 JSON
-//! bytes stay pinned by `tests/wire_roundtrip.rs`.
-//!
-//! # Within-v6 additive extensions: promotion & fencing
-//!
-//! Follower promotion added two things to the vocabulary without a
-//! version bump, both additive in the same sense as v2–v5:
-//!
-//! * the [`crate::ErrorCode::StaleLeader`] = 16 error code — a write
-//!   sent to a *deposed* leader (one that has learned, via a follower
-//!   handshake, that a newer leader epoch exists) is rejected with it,
-//!   carrying both the deposed epoch and the newer epoch seen. Error
-//!   codes are an append-only registry, so downlevel clients surface
-//!   the code number and message verbatim;
-//! * `leader_epoch` and `fenced` fields at the tail of
-//!   [`ReplicationReport`](crate::metrics::ReplicationReport) — JSON
-//!   appends keys, the binary codec appends fields, and the pinned v5
-//!   stats bytes in `tests/wire_roundtrip.rs` were re-pinned with them.
-//!
-//! The epoch handshake itself (leader-epoch fencing tokens, stream
-//! version 2) rides the replication stream, not this protocol — see
-//! [`crate::replicate`] for the v1↔v2 negotiation rules there.
-
-use serde::{Deserialize, Serialize};
+//! Adding a field is one edit in [`crate::codec`] (the encode and decode
+//! arm of the type that owns it) plus a bump of [`PROTOCOL_VERSION`];
+//! old and new builds then refuse each other at the handshake instead of
+//! misreading each other's frames.
 
 use crate::engine::{Envelope, Response};
 use crate::ServeError;
 
-/// Current (and highest supported) protocol version.
-pub const PROTOCOL_VERSION: u32 = 6;
-
-/// Oldest protocol version this build still speaks.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
-
-/// First protocol version carrying `at_epoch` pins on read requests.
-pub const EPOCH_PIN_VERSION: u32 = 2;
-
-/// First protocol version carrying per-request `search` policy
-/// overrides on `Classify`/`Similar`.
-pub const SEARCH_POLICY_VERSION: u32 = 3;
-
-/// First protocol version carrying the `Metrics` observability request.
-pub const METRICS_VERSION: u32 = 4;
-
-/// First protocol version carrying the `ReadOnlyReplica` error code and
-/// the additive `replication` block on `Stats`/`Metrics` reports.
-pub const REPLICA_VERSION: u32 = 5;
-
-/// First protocol version whose post-handshake frames ride the binary
-/// codec ([`crate::codec`]) instead of JSON. The handshake itself is
-/// always JSON.
-pub const BINARY_FRAME_VERSION: u32 = 6;
+/// The one protocol version this build speaks.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Upper bound on one frame's encoded size (64 MiB). Both sides reject
 /// larger frames as a protocol violation instead of allocating blindly.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Frames a client may send.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClientFrame {
     /// Handshake: the closed version range the client can speak.
     Hello { min_version: u32, max_version: u32 },
@@ -193,7 +70,7 @@ pub enum ClientFrame {
 }
 
 /// Frames a server may send.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServerFrame {
     /// Handshake accepted at `version`.
     HelloAck { version: u32 },
@@ -207,29 +84,16 @@ pub enum ServerFrame {
     Error { error: ServeError },
 }
 
-/// Encode a frame body as compact JSON bytes.
-pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    serde_json::to_vec(msg).expect("wire types always serialize")
-}
-
-/// Decode a frame body. Any parse or shape mismatch is a
-/// [`ServeError::Protocol`] — malformed input from a peer, not a bug.
-pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
-    serde_json::from_slice(bytes)
-        .map_err(|e| ServeError::protocol(format!("undecodable frame: {e}")))
-}
-
-/// Pick the protocol version for a connection: the highest version both
-/// sides support, or a typed error naming both ranges.
+/// Pick the protocol version for a connection: [`PROTOCOL_VERSION`] if
+/// the client's range contains it, or a typed error naming both ranges.
 pub fn negotiate(client_min: u32, client_max: u32) -> Result<u32, ServeError> {
-    let version = client_max.min(PROTOCOL_VERSION);
-    if client_min <= client_max && version >= MIN_PROTOCOL_VERSION && version >= client_min {
-        Ok(version)
+    if (client_min..=client_max).contains(&PROTOCOL_VERSION) {
+        Ok(PROTOCOL_VERSION)
     } else {
         Err(ServeError::VersionUnsupported {
             client_min,
             client_max,
-            server_min: MIN_PROTOCOL_VERSION,
+            server_min: PROTOCOL_VERSION,
             server_max: PROTOCOL_VERSION,
         })
     }
@@ -238,86 +102,26 @@ pub fn negotiate(client_min: u32, client_max: u32) -> Result<u32, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Request;
 
     #[test]
-    fn negotiation_picks_highest_common_version() {
-        assert_eq!(negotiate(1, 1), Ok(1), "v1-only clients still speak");
-        assert_eq!(negotiate(1, 2), Ok(2), "v2-only clients still speak");
-        assert_eq!(negotiate(2, 2), Ok(2));
-        assert_eq!(negotiate(1, 3), Ok(3), "v3-only clients still speak");
-        assert_eq!(negotiate(3, 3), Ok(3));
-        assert_eq!(negotiate(1, 4), Ok(4));
-        assert_eq!(negotiate(4, 4), Ok(4));
-        assert_eq!(negotiate(1, 5), Ok(5), "v5-capped clients still speak");
-        assert_eq!(negotiate(5, 5), Ok(5));
-        assert_eq!(negotiate(1, 6), Ok(6), "v6 clients get binary frames");
-        assert_eq!(negotiate(6, 6), Ok(6));
-        assert_eq!(
-            negotiate(1, 8),
-            Ok(PROTOCOL_VERSION),
-            "future-proof client downgrades"
-        );
-        assert_eq!(negotiate(6, 8), Ok(6), "min within range downgrades too");
-        assert!(matches!(
-            negotiate(7, 8),
-            Err(ServeError::VersionUnsupported { .. })
-        ));
-        assert!(matches!(
-            negotiate(0, 0),
-            Err(ServeError::VersionUnsupported { .. })
-        ));
-        assert!(
-            matches!(negotiate(3, 1), Err(ServeError::VersionUnsupported { .. })),
-            "inverted range"
-        );
-    }
-
-    #[test]
-    fn frames_round_trip() {
-        let frames = vec![
-            ClientFrame::Hello {
-                min_version: 1,
-                max_version: 7,
-            },
-            ClientFrame::Batch {
-                id: u64::MAX,
-                requests: vec![
-                    Envelope::new("g", Request::classify(vec![0, 1], 3)),
-                    Envelope::new("h", Request::stats()),
-                    Envelope::new("h", Request::stats().pinned(9)),
-                ],
-            },
-            ClientFrame::Goodbye,
-        ];
-        for f in frames {
-            assert_eq!(decode::<ClientFrame>(&encode(&f)).unwrap(), f);
-        }
-        let frames = vec![
-            ServerFrame::HelloAck { version: 1 },
-            ServerFrame::Batch {
-                id: 3,
-                results: vec![
-                    Ok(Response::Classes(vec![1, 0])),
-                    Err(ServeError::UnknownGraph { graph: "h".into() }),
-                ],
-            },
-            ServerFrame::Error {
-                error: ServeError::protocol("bad"),
-            },
-        ];
-        for f in frames {
-            assert_eq!(decode::<ServerFrame>(&encode(&f)).unwrap(), f);
-        }
-    }
-
-    #[test]
-    fn garbage_decodes_to_protocol_error() {
-        for bad in [&b"not json"[..], b"{\"Nope\":1}", b"", b"\xff\xfe"] {
-            assert!(matches!(
-                decode::<ClientFrame>(bad),
-                Err(ServeError::Protocol { .. })
-            ));
+    fn negotiation_accepts_exactly_the_ranges_containing_this_version() {
+        let v = PROTOCOL_VERSION;
+        assert_eq!(negotiate(v, v), Ok(v));
+        assert_eq!(negotiate(1, v), Ok(v), "older client floor is fine");
+        assert_eq!(negotiate(1, v + 2), Ok(v), "future-proof client settles");
+        assert_eq!(negotiate(0, u32::MAX), Ok(v));
+        // Below, above, empty-at-zero, and inverted around it.
+        for (min, max) in [(1, v - 1), (v + 1, v + 2), (0, 0), (v + 1, v - 1)] {
+            assert_eq!(
+                negotiate(min, max),
+                Err(ServeError::VersionUnsupported {
+                    client_min: min,
+                    client_max: max,
+                    server_min: v,
+                    server_max: v,
+                }),
+                "{min}..={max}"
+            );
         }
     }
 }

@@ -21,11 +21,11 @@ use std::sync::Arc;
 use gee_core::Labels;
 use gee_gen::LabelSpec;
 use gee_graph::EdgeList;
+use gee_serve::codec::encode_server_frame;
 use gee_serve::wal::FaultPoint;
-use gee_serve::wire::{self, ServerFrame};
 use gee_serve::{
     duplex, Client, Durability, Engine, Envelope, Registry, Request, ServeError, Server,
-    SyncPolicy, Update,
+    ServerFrame, SyncPolicy, Update,
 };
 
 const N: usize = 60;
@@ -219,14 +219,14 @@ fn read_requests() -> Vec<Envelope> {
 fn read_suite_bytes(engine: &Engine) -> Vec<u8> {
     let mut results = engine.execute_batch(read_requests());
     results.push(engine.execute("g", Request::stats()));
-    wire::encode(&ServerFrame::Batch { id: 0, results })
+    encode_server_frame(&ServerFrame::Batch { id: 0, results })
 }
 
 /// Client-side twin of [`read_suite_bytes`] for over-the-wire runs.
 fn read_suite_bytes_via(client: &mut Client) -> Vec<u8> {
     let mut results = client.execute_batch(read_requests()).unwrap();
     results.push(client.execute("g", Request::stats()));
-    wire::encode(&ServerFrame::Batch { id: 0, results })
+    encode_server_frame(&ServerFrame::Batch { id: 0, results })
 }
 
 // ---- fault-point injection (kill mid-append) ---------------------------
@@ -716,11 +716,11 @@ fn pinned_reads_survive_crash_recovery_byte_identically() {
             .into_iter()
             .map(|env| Envelope::new(env.graph, env.request.pinned(epoch)))
             .collect();
-        let got = wire::encode(&ServerFrame::Batch {
+        let got = encode_server_frame(&ServerFrame::Batch {
             id: epoch,
             results: recovered.execute_batch(pinned.clone()),
         });
-        let want = wire::encode(&ServerFrame::Batch {
+        let want = encode_server_frame(&ServerFrame::Batch {
             id: epoch,
             results: oracle.execute_batch(pinned),
         });
@@ -843,11 +843,11 @@ fn ann_recovery_reproduces_index_structure_and_answers() {
             ),
         ])
         .collect();
-    let got = wire::encode(&ServerFrame::Batch {
+    let got = encode_server_frame(&ServerFrame::Batch {
         id: 0,
         results: recovered.execute_batch(reads.clone()),
     });
-    let want = wire::encode(&ServerFrame::Batch {
+    let want = encode_server_frame(&ServerFrame::Batch {
         id: 0,
         results: oracle.execute_batch(reads),
     });

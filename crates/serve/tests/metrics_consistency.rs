@@ -276,7 +276,7 @@ fn disconnect_clears_stale_lag_gauges() {
         for payload in [
             ReplFrame::Stream {
                 from_lsn: 0,
-                leader_epoch: None,
+                leader_epoch: 0,
             }
             .encode(),
             ReplFrame::Record {
@@ -287,7 +287,7 @@ fn disconnect_clears_stale_lag_gauges() {
             ReplFrame::Heartbeat {
                 next_lsn: 42,
                 epochs: vec![("g".into(), 7)],
-                leader_epoch: None,
+                leader_epoch: 0,
             }
             .encode(),
         ] {

@@ -5,9 +5,12 @@
 use std::sync::Arc;
 
 use gee_core::Labels;
+use gee_serve::codec::{
+    decode_client_frame, decode_server_frame, encode_client_frame, encode_server_frame,
+};
 use gee_serve::{
-    duplex, Client, Engine, Envelope, Registry, Request, Response, ServeError, Server,
-    TcpTransport, Transport, Update, PROTOCOL_VERSION,
+    duplex, Client, ClientFrame, Engine, Envelope, Registry, Request, Response, ServeError, Server,
+    ServerFrame, TcpTransport, Transport, Update, PROTOCOL_VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -50,6 +53,15 @@ fn duplex_client(server_engine: Arc<Engine>) -> (Client, std::thread::JoinHandle
         Client::over(client_end).expect("handshake succeeds"),
         handle,
     )
+}
+
+/// The byte oracle: results as the server would frame them, so every
+/// `f64` bit counts.
+fn wire_bytes(results: &[Result<Response, ServeError>]) -> Vec<u8> {
+    encode_server_frame(&ServerFrame::Batch {
+        id: 0,
+        results: results.to_vec(),
+    })
 }
 
 /// A mixed read/write/error workload batch, deterministic in `case`.
@@ -167,8 +179,8 @@ fn named_client_methods_equal_named_engine_methods() {
     // Typed errors come through the named methods unchanged too.
     assert_eq!(client.similar("g", 0, 0), local.similar("g", 0, 0));
     assert_eq!(client.stats("missing"), local.stats("missing"));
-    // Non-finite weights (which JSON cannot carry) are rejected with the
-    // same typed error on both paths — equivalence holds even here.
+    // Non-finite weights are rejected with the same typed error on both
+    // paths — equivalence holds even here.
     let nan_update = vec![Update::InsertEdge {
         u: 0,
         v: 1,
@@ -224,20 +236,20 @@ fn handshake_rejects_unsupported_version_range() {
     let handle = Server::listen(remote, "127.0.0.1:0", None).unwrap();
     // Hand-rolled hello demanding a future protocol.
     let mut t = TcpTransport::connect(handle.addr()).unwrap();
-    t.send(gee_serve::wire::encode(&gee_serve::ClientFrame::Hello {
+    t.send(encode_client_frame(&ClientFrame::Hello {
         min_version: PROTOCOL_VERSION + 1,
         max_version: PROTOCOL_VERSION + 5,
     }))
     .unwrap();
     let reply = t.recv().unwrap().expect("server answers before closing");
-    match gee_serve::wire::decode::<gee_serve::ServerFrame>(&reply).unwrap() {
-        gee_serve::ServerFrame::Error { error } => {
+    match decode_server_frame(&reply).unwrap() {
+        ServerFrame::Error { error } => {
             assert_eq!(
                 error,
                 ServeError::VersionUnsupported {
                     client_min: PROTOCOL_VERSION + 1,
                     client_max: PROTOCOL_VERSION + 5,
-                    server_min: gee_serve::wire::MIN_PROTOCOL_VERSION,
+                    server_min: PROTOCOL_VERSION,
                     server_max: PROTOCOL_VERSION,
                 }
             );
@@ -260,10 +272,10 @@ fn malformed_frame_is_rejected_with_a_typed_error() {
         let mut transport = server_end;
         Server::new(remote).serve_connection(&mut transport)
     });
-    raw.send(b"this is not json".to_vec()).unwrap();
+    raw.send(b"this is not a frame".to_vec()).unwrap();
     let reply = raw.recv().unwrap().unwrap();
-    match gee_serve::wire::decode::<gee_serve::ServerFrame>(&reply).unwrap() {
-        gee_serve::ServerFrame::Error { error } => {
+    match decode_server_frame(&reply).unwrap() {
+        ServerFrame::Error { error } => {
             assert!(matches!(error, ServeError::Protocol { .. }), "{error}");
         }
         other => panic!("expected Error frame, got {other:?}"),
@@ -274,23 +286,27 @@ fn malformed_frame_is_rejected_with_a_typed_error() {
 
 #[test]
 fn responses_are_equal_when_roundtripped_through_wire_bytes() {
-    // Byte-level check: serialize the in-process responses with the same
-    // wire encoding the server uses and confirm the client-received
-    // values decode from exactly those semantics.
+    // Byte-level check: frame the in-process responses with the same
+    // codec the server uses and confirm the client-received values
+    // decode from exactly those bytes.
     let (remote, local) = twin_engines(2);
     let (mut client, server_thread) = duplex_client(remote);
     let batch = workload_batch(1);
     let over_wire = client.execute_batch(batch.clone()).unwrap();
     let in_process = local.execute_batch(batch);
-    let wire_bytes_local = gee_serve::wire::encode(&in_process);
-    let wire_bytes_remote = gee_serve::wire::encode(&over_wire);
+    let wire_bytes_local = wire_bytes(&in_process);
     assert_eq!(
-        wire_bytes_local, wire_bytes_remote,
+        wire_bytes_local,
+        wire_bytes(&over_wire),
         "byte-identical on the wire"
     );
-    let decoded: Vec<Result<Response, ServeError>> =
-        gee_serve::wire::decode(&wire_bytes_local).unwrap();
-    assert_eq!(decoded, in_process);
+    assert_eq!(
+        decode_server_frame(&wire_bytes_local).unwrap(),
+        ServerFrame::Batch {
+            id: 0,
+            results: in_process,
+        }
+    );
     drop(client);
     server_thread.join().unwrap();
 }
@@ -377,13 +393,16 @@ fn time_travel_reads_are_byte_identical_across_engine_duplex_and_tcp() {
         let in_process = local.execute_batch(batch.clone());
         let over_duplex = dup.execute_batch(batch.clone()).unwrap();
         let over_tcp = tcp.execute_batch(batch).unwrap();
-        let bytes = |r: &Vec<Result<Response, ServeError>>| gee_serve::wire::encode(r);
         assert_eq!(
-            bytes(&in_process),
-            bytes(&over_duplex),
+            wire_bytes(&in_process),
+            wire_bytes(&over_duplex),
             "duplex, epoch {epoch:?}"
         );
-        assert_eq!(bytes(&in_process), bytes(&over_tcp), "tcp, epoch {epoch:?}");
+        assert_eq!(
+            wire_bytes(&in_process),
+            wire_bytes(&over_tcp),
+            "tcp, epoch {epoch:?}"
+        );
         if epoch == Some(9) {
             for r in &in_process {
                 assert!(
@@ -557,9 +576,8 @@ fn ann_search_is_byte_identical_across_engine_duplex_and_tcp() {
     let in_process = local.execute_batch(suite.clone());
     let over_duplex = dup.execute_batch(suite.clone()).unwrap();
     let over_tcp = tcp.execute_batch(suite).unwrap();
-    let bytes = |r: &Vec<Result<Response, ServeError>>| gee_serve::wire::encode(r);
-    assert_eq!(bytes(&in_process), bytes(&over_duplex), "duplex");
-    assert_eq!(bytes(&in_process), bytes(&over_tcp), "tcp");
+    assert_eq!(wire_bytes(&in_process), wire_bytes(&over_duplex), "duplex");
+    assert_eq!(wire_bytes(&in_process), wire_bytes(&over_tcp), "tcp");
     assert!(matches!(in_process[5], Err(ServeError::ZeroLimit { .. })));
 
     // The named *_with mirrors agree across paths too.
@@ -578,43 +596,75 @@ fn ann_search_is_byte_identical_across_engine_duplex_and_tcp() {
     handle.shutdown();
 }
 
+/// Handshake a client against a scripted peer that answers its `Hello`
+/// with `reply` (or hangs up without one).
+fn handshake_against(reply: Option<ServerFrame>) -> Result<Client, ServeError> {
+    let (mut peer, client_end) = duplex();
+    let script = std::thread::spawn(move || {
+        let hello = peer.recv().unwrap().expect("client sends Hello first");
+        match decode_client_frame(&hello).unwrap() {
+            ClientFrame::Hello {
+                min_version,
+                max_version,
+            } => assert_eq!(
+                (min_version, max_version),
+                (PROTOCOL_VERSION, PROTOCOL_VERSION)
+            ),
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        if let Some(reply) = reply {
+            peer.send(encode_server_frame(&reply)).unwrap();
+        }
+    });
+    let outcome = Client::over(client_end);
+    script.join().unwrap();
+    outcome
+}
+
 #[test]
-fn v5_capped_client_speaks_json_against_a_v6_server() {
-    // A client whose advertised range stops below the binary-frame
-    // version negotiates down and the connection stays JSON end to end;
-    // answers are identical to a full-version (binary) client's.
-    let (remote, local) = twin_engines(3);
-    let handle = Server::listen(remote, "127.0.0.1:0", None).unwrap();
-    let mut v6 = Client::connect(handle.addr()).unwrap();
-    assert_eq!(v6.protocol_version(), PROTOCOL_VERSION);
-    let mut v5 = Client::over_versions(
-        TcpTransport::connect(handle.addr()).unwrap(),
-        gee_serve::wire::MIN_PROTOCOL_VERSION,
-        gee_serve::wire::BINARY_FRAME_VERSION - 1,
-    )
-    .unwrap();
-    assert_eq!(v5.protocol_version(), 5, "capped range negotiates down");
-    // Read-only suites (writes would advance the shared engine's epoch
-    // between the two executions): both codecs must carry bit-identical
-    // answers, and both must match the in-process oracle.
-    for case in 0..6u32 {
-        let v = |i: u32| (case.wrapping_mul(17).wrapping_add(i * 5)) % N as u32;
-        let batch = vec![
-            Envelope::new("g", Request::classify(vec![v(0), v(1), v(2)], 3)),
-            Envelope::new("g", Request::similar(v(3), 6)),
-            Envelope::new("g", Request::embed_row(v(4))),
-            Envelope::new("missing", Request::embed_row(0)),
-            Envelope::new("g", Request::similar(v(5), 0)),
-        ];
-        let over_v5 = v5.execute_batch(batch.clone()).unwrap();
-        let over_v6 = v6.execute_batch(batch.clone()).unwrap();
-        let in_process = local.execute_batch(batch);
-        assert_eq!(over_v5, over_v6, "case {case}: codecs agree");
-        assert_eq!(over_v5, in_process, "case {case}: wire equals engine");
+fn client_rejects_an_ack_outside_its_advertised_range() {
+    // Taking a version it never offered would mean speaking a protocol
+    // this build does not implement, so the handshake must fail typed.
+    let refused = handshake_against(Some(ServerFrame::HelloAck {
+        version: PROTOCOL_VERSION + 1,
+    }))
+    .err()
+    .expect("handshake must fail");
+    let named = format!("v{}", PROTOCOL_VERSION + 1);
+    assert!(
+        matches!(&refused, ServeError::Protocol { detail } if detail.contains(&named)),
+        "{refused}"
+    );
+}
+
+#[test]
+fn client_fails_the_handshake_typed_on_anything_but_an_ack() {
+    // The server's own refusal comes through as the error it sent...
+    let refusal = ServeError::VersionUnsupported {
+        client_min: PROTOCOL_VERSION,
+        client_max: PROTOCOL_VERSION,
+        server_min: PROTOCOL_VERSION + 1,
+        server_max: PROTOCOL_VERSION + 3,
+    };
+    let got = handshake_against(Some(ServerFrame::Error {
+        error: refusal.clone(),
+    }));
+    assert_eq!(got.err(), Some(refusal));
+    // ...any other frame, or a hang-up, as a protocol violation.
+    let not_an_ack = ServerFrame::Batch {
+        id: 0,
+        results: vec![],
+    };
+    for (reply, needle) in [
+        (Some(not_an_ack), "expected HelloAck"),
+        (None, "closed during handshake"),
+    ] {
+        let refused = handshake_against(reply).err().expect("handshake must fail");
+        assert!(
+            matches!(&refused, ServeError::Protocol { detail } if detail.contains(needle)),
+            "{refused}"
+        );
     }
-    v5.goodbye().unwrap();
-    v6.goodbye().unwrap();
-    handle.shutdown();
 }
 
 #[test]

@@ -20,11 +20,11 @@ use std::time::{Duration, Instant};
 use gee_core::Labels;
 use gee_gen::LabelSpec;
 use gee_graph::EdgeList;
-use gee_serve::wire;
+use gee_serve::codec::encode_server_frame;
 use gee_serve::{
     Client, Durability, Engine, ErrorCode, Follower, HistoryPolicy, Registry, RegistryConfig,
-    ReplicationListener, ReplicationRole, Request, Response, ServeError, Server, SyncPolicy,
-    Update,
+    ReplicationListener, ReplicationRole, Request, Response, ServeError, Server, ServerFrame,
+    SyncPolicy, Update,
 };
 
 mod common;
@@ -32,6 +32,15 @@ use common::snapshot_fingerprint;
 
 const N: usize = 60;
 const K: usize = 4;
+
+/// One response as the server would frame it: the byte oracle for
+/// "answers identically", every `f64` bit included.
+fn response_bytes(response: Response) -> Vec<u8> {
+    encode_server_frame(&ServerFrame::Batch {
+        id: 0,
+        results: vec![Ok(response)],
+    })
+}
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -346,8 +355,8 @@ fn pinned_replica_reads_are_byte_identical_to_leader_over_tcp() {
             let l = on_leader.execute("g", request.clone()).unwrap();
             let f = on_follower.execute("g", request.clone()).unwrap();
             assert_eq!(
-                wire::encode(&l),
-                wire::encode(&f),
+                response_bytes(l),
+                response_bytes(f),
                 "pinned response bytes diverged at epoch {epoch}: {request:?}"
             );
         }
@@ -357,7 +366,7 @@ fn pinned_replica_reads_are_byte_identical_to_leader_over_tcp() {
         let strip = |r: Response| match r {
             Response::Stats(mut report) => {
                 report.replication = None;
-                report
+                Response::Stats(report)
             }
             other => panic!("expected Stats, got {other:?}"),
         };
@@ -372,8 +381,8 @@ fn pinned_replica_reads_are_byte_identical_to_leader_over_tcp() {
                 .unwrap(),
         );
         assert_eq!(
-            wire::encode(&l),
-            wire::encode(&f),
+            response_bytes(l),
+            response_bytes(f),
             "stats diverged at {epoch}"
         );
     }

@@ -37,12 +37,6 @@ fn arb_name() -> impl Strategy<Value = String> {
     })
 }
 
-/// The `leader_epoch` a v2 handshake frame may carry; `None` models a
-/// v1 peer's frame (the field is absent on the wire entirely).
-fn arb_leader_epoch() -> impl Strategy<Value = Option<u64>> {
-    prop_oneof![Just(None), any::<u64>().prop_map(Some)]
-}
-
 fn arb_frame() -> impl Strategy<Value = ReplFrame> {
     prop_oneof![
         (any::<u64>(), any::<u64>()).prop_map(|(start_lsn, max_epoch_seen)| ReplFrame::Hello {
@@ -50,19 +44,16 @@ fn arb_frame() -> impl Strategy<Value = ReplFrame> {
             start_lsn,
             max_epoch_seen,
         }),
-        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(version, start_lsn, epoch)| {
-            ReplFrame::Hello {
+        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
+            |(version, start_lsn, max_epoch_seen)| ReplFrame::Hello {
                 version,
                 start_lsn,
-                // A pre-epoch (v1) Hello has no epoch bytes on the wire,
-                // so 0 is the canonical decode — required for the
-                // round-trip to be bijective.
-                max_epoch_seen: if version >= 2 { epoch } else { 0 },
+                max_epoch_seen,
             }
-        }),
-        (any::<u64>(), arb_leader_epoch())
+        ),
+        (any::<u64>(), any::<u64>())
             .prop_map(|(lsn, leader_epoch)| ReplFrame::Bootstrap { lsn, leader_epoch }),
-        (any::<u64>(), arb_leader_epoch()).prop_map(|(from_lsn, leader_epoch)| {
+        (any::<u64>(), any::<u64>()).prop_map(|(from_lsn, leader_epoch)| {
             ReplFrame::Stream {
                 from_lsn,
                 leader_epoch,
@@ -73,7 +64,7 @@ fn arb_frame() -> impl Strategy<Value = ReplFrame> {
         (
             any::<u64>(),
             vec((arb_name(), any::<u64>()), 0..5),
-            arb_leader_epoch()
+            any::<u64>()
         )
             .prop_map(|(next_lsn, epochs, leader_epoch)| {
                 ReplFrame::Heartbeat {
@@ -160,6 +151,25 @@ fn config(dir: &PathBuf) -> RegistryConfig {
     }
 }
 
+/// A durable leader registry serving one random graph "g".
+fn leader_with_graph(tag: &str, edges: usize, seed: u64) -> Arc<Registry> {
+    let leader = Arc::new(Registry::with_config(config(&tmp(tag))).unwrap());
+    let el = gee_gen::erdos_renyi_gnm(N, edges, seed);
+    let labels = Labels::from_options_with_k(
+        &gee_gen::random_labels(
+            N,
+            LabelSpec {
+                num_classes: K,
+                labeled_fraction: 0.5,
+            },
+            seed,
+        ),
+        K,
+    );
+    leader.register("g", &el, &labels).unwrap();
+    leader
+}
+
 fn wait_until(what: &str, secs: u64, mut f: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(secs);
     while !f() {
@@ -189,7 +199,7 @@ fn fake_leader_session(listener: &TcpListener, sabotage: impl FnOnce(&mut TcpStr
         &mut stream,
         &ReplFrame::Stream {
             from_lsn: 0,
-            leader_epoch: None,
+            leader_epoch: 0,
         }
         .encode(),
     )
@@ -319,7 +329,7 @@ fn spawn_idle_leader() -> String {
             &mut stream,
             &ReplFrame::Stream {
                 from_lsn: start_lsn,
-                leader_epoch: Some(0),
+                leader_epoch: 0,
             }
             .encode(),
         );
@@ -408,7 +418,7 @@ fn follower_rejects_stale_leader() {
             &mut stream,
             &ReplFrame::Stream {
                 from_lsn: 0,
-                leader_epoch: Some(1),
+                leader_epoch: 1,
             }
             .encode(),
         )
@@ -434,29 +444,108 @@ fn follower_rejects_stale_leader() {
     follower.shutdown();
 }
 
-/// Version negotiation against a real listener: a v1 peer (no epoch in
-/// its Hello) is still served, with every handshake/heartbeat frame
-/// epoch-free; a v2 peer gets the leader epoch on the same frames.
+/// Fencing bypass regression: the leader epoch is mandatory on the wire.
+/// A fake leader sends `Stream`, `Heartbeat` and `Bootstrap` payloads
+/// *without* the trailing epoch — a decoder that took those for "no
+/// epoch: pass" would let a stale leader through unfenced — to a
+/// follower that has durably seen epoch 3. Each session must end as a
+/// malformed frame with nothing applied — not even the valid `Register`
+/// record riding behind the epoch-less `Stream`.
 #[test]
-fn leader_serves_v1_and_v2_peers() {
-    let dir = tmp("v1v2_leader");
-    let leader = Arc::new(Registry::with_config(config(&dir)).unwrap());
-    let el = gee_gen::erdos_renyi_gnm(N, 120, 9);
-    let labels = Labels::from_options_with_k(
-        &gee_gen::random_labels(
-            N,
-            LabelSpec {
-                num_classes: K,
-                labeled_fraction: 0.5,
-            },
-            4,
+fn epochless_frames_cannot_bypass_fencing() {
+    let dir = tmp("epochless");
+    {
+        let registry = Registry::with_config(config(&dir)).unwrap();
+        for epoch in 1..=3 {
+            assert_eq!(registry.promote_to_leader().unwrap(), epoch);
+        }
+    }
+    let epochless = |frame: ReplFrame| {
+        let mut payload = frame.encode();
+        payload.truncate(payload.len() - 8);
+        payload
+    };
+    let register = gee_serve::wal::encode_record(&gee_serve::wal::WalRecord::Register {
+        name: "g".into(),
+        shards: 2,
+        num_vertices: 10,
+        num_classes: 2,
+        labels: (0..10).map(|v| (v % 3) - 1).collect(),
+        edges: vec![(0, 1, 1.0), (1, 2, 0.5)],
+    });
+    let sessions: Vec<(&str, Vec<Vec<u8>>)> = vec![
+        (
+            "Stream",
+            vec![
+                epochless(ReplFrame::Stream {
+                    from_lsn: 0,
+                    leader_epoch: 0,
+                }),
+                ReplFrame::Record {
+                    lsn: 0,
+                    record: register,
+                }
+                .encode(),
+            ],
         ),
-        K,
-    );
-    leader.register("g", &el, &labels).unwrap();
-    let listener = ReplicationListener::listen(leader.clone(), "127.0.0.1:0").unwrap();
+        (
+            "Heartbeat",
+            vec![epochless(ReplFrame::Heartbeat {
+                next_lsn: 42,
+                epochs: vec![("g".into(), 7)],
+                leader_epoch: 0,
+            })],
+        ),
+        (
+            "Bootstrap",
+            vec![epochless(ReplFrame::Bootstrap {
+                lsn: 5,
+                leader_epoch: 0,
+            })],
+        ),
+    ];
 
-    for version in [1u32, 2] {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let follower = Follower::start(config(&dir), addr).unwrap();
+    for (shape, payloads) in sessions {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = frame::read_frame(&mut stream, MAX_REPL_FRAME_LEN).unwrap();
+        match ReplFrame::decode(&hello).unwrap() {
+            ReplFrame::Hello { max_epoch_seen, .. } => assert_eq!(max_epoch_seen, 3),
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        for payload in payloads {
+            frame::write_frame(&mut stream, &payload).unwrap();
+        }
+        // The socket stays open until the follower has refused the frame
+        // on its own; the decoder names the field it could not find.
+        let missing = format!("malformed payload: {} leader epoch", shape.to_lowercase());
+        wait_until(&format!("the epoch-less {shape} to be refused"), 10, || {
+            follower
+                .status()
+                .last_error()
+                .is_some_and(|e| e.contains(&missing))
+        });
+        assert!(!follower.status().is_connected(), "{shape}");
+        assert_eq!(follower.status().leader_next_lsn(), 0, "{shape}");
+        assert_eq!(follower.registry().wal_high_water(), Some(0), "{shape}");
+        assert!(follower.registry().graph_names().is_empty(), "{shape}");
+        drop(stream);
+    }
+    assert_eq!(follower.registry().leader_epoch(), 3);
+    follower.shutdown();
+}
+
+/// The stream speaks one version. A real listener gives a current peer
+/// the leader epoch on every handshake/heartbeat frame, and ends any
+/// other `Hello` — older or newer — with a typed `End` before shipping
+/// anything.
+#[test]
+fn leader_serves_only_its_own_stream_version() {
+    let leader = leader_with_graph("one_version_leader", 120, 9);
+    let listener = ReplicationListener::listen(leader.clone(), "127.0.0.1:0").unwrap();
+    let hello = |version: u32| {
         let mut stream = TcpStream::connect(listener.addr()).unwrap();
         frame::write_frame(
             &mut stream,
@@ -468,27 +557,35 @@ fn leader_serves_v1_and_v2_peers() {
             .encode(),
         )
         .unwrap();
-        // Expect Stream, one Record (the Register), then a Heartbeat —
-        // epoch present exactly when the peer speaks v2.
-        let want_epoch = (version >= 2).then_some(leader.leader_epoch());
-        let mut saw_heartbeat = false;
-        while !saw_heartbeat {
-            let payload = frame::read_frame(&mut stream, MAX_REPL_FRAME_LEN).unwrap();
-            match ReplFrame::decode(&payload).unwrap() {
-                ReplFrame::Stream { leader_epoch, .. } => {
-                    assert_eq!(leader_epoch, want_epoch, "Stream epoch for v{version} peer")
-                }
-                ReplFrame::Heartbeat { leader_epoch, .. } => {
-                    assert_eq!(
-                        leader_epoch, want_epoch,
-                        "Heartbeat epoch for v{version} peer"
-                    );
-                    saw_heartbeat = true;
-                }
-                ReplFrame::Record { .. } => {}
-                other => panic!("unexpected frame for v{version} peer: {other:?}"),
+        stream
+    };
+
+    // Expect Stream, one Record (the Register), then a Heartbeat.
+    let mut stream = hello(REPL_STREAM_VERSION);
+    loop {
+        let payload = frame::read_frame(&mut stream, MAX_REPL_FRAME_LEN).unwrap();
+        match ReplFrame::decode(&payload).unwrap() {
+            ReplFrame::Stream { leader_epoch, .. } => {
+                assert_eq!(leader_epoch, leader.leader_epoch())
             }
+            ReplFrame::Heartbeat { leader_epoch, .. } => {
+                assert_eq!(leader_epoch, leader.leader_epoch());
+                break;
+            }
+            ReplFrame::Record { .. } => {}
+            other => panic!("unexpected frame: {other:?}"),
         }
+    }
+
+    for version in [REPL_STREAM_VERSION - 1, REPL_STREAM_VERSION + 1] {
+        let mut stream = hello(version);
+        let payload = frame::read_frame(&mut stream, MAX_REPL_FRAME_LEN).unwrap();
+        assert_eq!(
+            ReplFrame::decode(&payload).unwrap(),
+            ReplFrame::End {
+                detail: format!("unsupported stream version {version}"),
+            }
+        );
     }
     listener.shutdown();
 }
@@ -499,21 +596,7 @@ fn leader_serves_v1_and_v2_peers() {
 /// and the replication report says so.
 #[test]
 fn leader_self_fences_on_newer_epoch_claim() {
-    let dir = tmp("self_fence");
-    let leader = Arc::new(Registry::with_config(config(&dir)).unwrap());
-    let el = gee_gen::erdos_renyi_gnm(N, 120, 11);
-    let labels = Labels::from_options_with_k(
-        &gee_gen::random_labels(
-            N,
-            LabelSpec {
-                num_classes: K,
-                labeled_fraction: 0.5,
-            },
-            5,
-        ),
-        K,
-    );
-    leader.register("g", &el, &labels).unwrap();
+    let leader = leader_with_graph("self_fence", 120, 11);
     let listener = ReplicationListener::listen(leader.clone(), "127.0.0.1:0").unwrap();
     assert!(!leader.replication_report().unwrap().fenced);
 
@@ -543,7 +626,7 @@ fn leader_self_fences_on_newer_epoch_claim() {
     assert_eq!(err.code().as_u16(), 16, "fenced writes are StaleLeader");
     assert!(err.to_string().contains("stale"), "{err}");
     let report = leader.replication_report().unwrap();
-    assert!(report.fenced, "the v5 report surfaces the fence");
+    assert!(report.fenced, "the report surfaces the fence");
     listener.shutdown();
 }
 
@@ -552,22 +635,8 @@ fn leader_self_fences_on_newer_epoch_claim() {
 /// itself, and still converges fingerprint-identically epoch for epoch.
 #[test]
 fn follower_converges_through_leader_churn() {
-    let leader_dir = tmp("churn_leader");
     let follower_dir = tmp("churn_follower");
-    let leader = Arc::new(Registry::with_config(config(&leader_dir)).unwrap());
-    let el = gee_gen::erdos_renyi_gnm(N, 180, 5);
-    let labels = Labels::from_options_with_k(
-        &gee_gen::random_labels(
-            N,
-            LabelSpec {
-                num_classes: K,
-                labeled_fraction: 0.5,
-            },
-            3,
-        ),
-        K,
-    );
-    leader.register("g", &el, &labels).unwrap();
+    let leader = leader_with_graph("churn_leader", 180, 5);
 
     let listener = ReplicationListener::listen(leader.clone(), "127.0.0.1:0").unwrap();
     let addr = listener.addr();

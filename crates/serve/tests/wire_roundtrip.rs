@@ -1,17 +1,31 @@
-//! Wire-encoding round-trip property: `decode(encode(x)) == x` for every
-//! `Request` / `Response` / `ServeError` / frame variant, over seeded
-//! random instances plus the empty and maximal-size payloads the
+//! The wire codec, from both sides.
+//!
+//! Round trip: `decode(encode(x)) == x` for every `Request` / `Response`
+//! / `ServeError` / frame variant (handshake frames included), over
+//! seeded random instances plus the empty and maximal-size payloads the
 //! generators would rarely hit.
+//!
+//! Never panic: whatever bytes reach `decode_client_frame` /
+//! `decode_server_frame` — arbitrary, truncated, mutated behind a
+//! recomputed checksum, or with a count field forced to `u32::MAX` — the
+//! result is a typed `Protocol` error or a value that re-encodes, with
+//! no allocation larger than the input accounts for.
 
-use gee_serve::wire::{decode, encode, ClientFrame, ServerFrame};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use gee_graph::io::frame::crc32;
+use gee_serve::codec::{
+    decode_client_frame, decode_server_frame, encode_client_frame, encode_server_frame,
+};
 use gee_serve::{
-    Envelope, ErrorCode, GraphReport, HistogramReport, MetricsReport, ReplicationReport,
-    ReplicationRole, Request, Response, SearchPolicy, ServeError, Update,
+    ClientFrame, Envelope, GraphReport, HistogramReport, MetricsReport, ReplicationReport,
+    ReplicationRole, Request, Response, SearchPolicy, ServeError, ServerFrame, Update,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Characters chosen to stress JSON escaping: quotes, backslashes,
+/// Characters chosen to stress string handling: quotes, backslashes,
 /// control characters, multi-byte UTF-8.
 const CHAR_PALETTE: [char; 16] = [
     'a', 'Z', '0', '_', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{7f}', 'é', '🦀', '{',
@@ -297,6 +311,12 @@ fn arb_error() -> impl Strategy<Value = ServeError> {
         }),
         (arb_string(), arb_string())
             .prop_map(|(graph, leader)| ServeError::ReadOnlyReplica { graph, leader }),
+        (any::<u64>(), any::<u64>()).prop_map(|(leader_epoch, seen_epoch)| {
+            ServeError::StaleLeader {
+                leader_epoch,
+                seen_epoch,
+            }
+        }),
     ]
 }
 
@@ -326,18 +346,34 @@ fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
     ]
 }
 
-fn assert_round_trip<T>(x: &T)
-where
-    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
-{
-    let bytes = encode(x);
-    let back: T = decode(&bytes).unwrap_or_else(|e| {
-        panic!(
-            "decode failed for {x:?}: {e} (frame: {})",
-            String::from_utf8_lossy(&bytes)
-        )
+fn assert_client_frame_round_trips(frame: &ClientFrame) {
+    let bytes = encode_client_frame(frame);
+    let back = decode_client_frame(&bytes)
+        .unwrap_or_else(|e| panic!("decode failed for {frame:?}: {e} (frame: {bytes:02x?})"));
+    assert_eq!(&back, frame);
+}
+
+fn assert_server_frame_round_trips(frame: &ServerFrame) {
+    let bytes = encode_server_frame(frame);
+    let back = decode_server_frame(&bytes)
+        .unwrap_or_else(|e| panic!("decode failed for {frame:?}: {e} (frame: {bytes:02x?})"));
+    assert_eq!(&back, frame);
+}
+
+/// A request rides the wire inside a batch envelope.
+fn assert_request_round_trips(request: Request) {
+    assert_client_frame_round_trips(&ClientFrame::Batch {
+        id: 0,
+        requests: vec![Envelope::new("g", request)],
     });
-    assert_eq!(&back, x);
+}
+
+/// A response or per-request error rides the wire as a batch result.
+fn assert_result_round_trips(result: Result<Response, ServeError>) {
+    assert_server_frame_round_trips(&ServerFrame::Batch {
+        id: 0,
+        results: vec![result],
+    });
 }
 
 proptest! {
@@ -345,53 +381,57 @@ proptest! {
 
     #[test]
     fn requests_round_trip(x in arb_request()) {
-        assert_round_trip(&x);
+        assert_request_round_trips(x);
     }
 
     #[test]
     fn responses_round_trip(x in arb_response()) {
-        assert_round_trip(&x);
+        assert_result_round_trips(Ok(x));
     }
 
     #[test]
     fn errors_round_trip(x in arb_error()) {
-        assert_round_trip(&x);
-        // The error code survives the wire too (it is derived, but that
-        // derivation must agree on both sides).
-        let back: ServeError = decode(&encode(&x)).unwrap();
-        prop_assert_eq!(back.code(), x.code());
+        // Per-request and connection-fatal positions both.
+        assert_result_round_trips(Err(x.clone()));
+        assert_server_frame_round_trips(&ServerFrame::Error { error: x });
     }
 
     #[test]
-    fn error_codes_round_trip(x in arb_error()) {
-        let code: ErrorCode = decode(&encode(&x.code())).unwrap();
-        prop_assert_eq!(code, x.code());
+    fn error_codes_ride_the_wire_as_their_stable_number(x in arb_error()) {
+        // Body = crc (4) + frame tag (1) + the error's code as a u32: the
+        // number clients branch on is the number on the wire.
+        let bytes = encode_server_frame(&ServerFrame::Error { error: x.clone() });
+        let code = u32::from_le_bytes(bytes[5..9].try_into().unwrap());
+        prop_assert_eq!(code, u32::from(x.code().as_u16()));
     }
 
     #[test]
     fn client_frames_round_trip(x in arb_client_frame()) {
-        assert_round_trip(&x);
+        assert_client_frame_round_trips(&x);
     }
 
     #[test]
     fn server_frames_round_trip(x in arb_server_frame()) {
-        assert_round_trip(&x);
+        assert_server_frame_round_trips(&x);
     }
 }
 
 #[test]
 fn empty_payloads_round_trip() {
-    assert_round_trip(&Request::classify(vec![], 0));
-    assert_round_trip(&Request::ApplyUpdates { updates: vec![] });
-    assert_round_trip(&Response::Classes(vec![]));
-    assert_round_trip(&Response::Neighbors(vec![]));
-    assert_round_trip(&Response::Row(vec![]));
-    assert_round_trip(&Envelope::new("", Request::stats()));
-    assert_round_trip(&ClientFrame::Batch {
+    assert_request_round_trips(Request::classify(vec![], 0));
+    assert_request_round_trips(Request::ApplyUpdates { updates: vec![] });
+    assert_result_round_trips(Ok(Response::Classes(vec![])));
+    assert_result_round_trips(Ok(Response::Neighbors(vec![])));
+    assert_result_round_trips(Ok(Response::Row(vec![])));
+    assert_client_frame_round_trips(&ClientFrame::Batch {
+        id: 0,
+        requests: vec![Envelope::new("", Request::stats())],
+    });
+    assert_client_frame_round_trips(&ClientFrame::Batch {
         id: 0,
         requests: vec![],
     });
-    assert_round_trip(&ServerFrame::Batch {
+    assert_server_frame_round_trips(&ServerFrame::Batch {
         id: 0,
         results: vec![],
     });
@@ -399,18 +439,23 @@ fn empty_payloads_round_trip() {
 
 #[test]
 fn extreme_integers_round_trip() {
-    assert_round_trip(&Response::Applied {
+    assert_result_round_trips(Ok(Response::Applied {
         applied: usize::MAX,
         epoch: u64::MAX,
-    });
-    assert_round_trip(&ClientFrame::Batch {
+    }));
+    assert_client_frame_round_trips(&ClientFrame::Batch {
         id: u64::MAX,
         requests: vec![],
     });
-    assert_round_trip(&ServeError::VertexOutOfRange {
+    assert_result_round_trips(Err(ServeError::VertexOutOfRange {
         vertex: u32::MAX,
         num_vertices: usize::MAX,
+    }));
+    assert_client_frame_round_trips(&ClientFrame::Hello {
+        min_version: 0,
+        max_version: u32::MAX,
     });
+    assert_server_frame_round_trips(&ServerFrame::HelloAck { version: u32::MAX });
 }
 
 #[test]
@@ -418,11 +463,11 @@ fn maximal_size_payloads_round_trip() {
     // A frame the size of a real bulk answer: 100k-row classify, a 50k-f64
     // embedding row, and a dense neighbor list.
     let vertices: Vec<u32> = (0..100_000u32).collect();
-    assert_round_trip(&Request::classify(vertices, usize::MAX));
+    assert_request_round_trips(Request::classify(vertices, usize::MAX));
     let row: Vec<f64> = (0..50_000).map(|i| (i as f64).sin() * 1e6).collect();
-    assert_round_trip(&Response::Row(row));
+    assert_result_round_trips(Ok(Response::Row(row)));
     let neighbors: Vec<(u32, f64)> = (0..20_000u32).map(|v| (v, f64::from(v) * 0.125)).collect();
-    assert_round_trip(&Response::Neighbors(neighbors));
+    assert_result_round_trips(Ok(Response::Neighbors(neighbors)));
     let updates: Vec<Update> = (0..30_000u32)
         .map(|i| Update::InsertEdge {
             u: i,
@@ -430,260 +475,34 @@ fn maximal_size_payloads_round_trip() {
             w: 1.0,
         })
         .collect();
-    assert_round_trip(&ClientFrame::Batch {
+    assert_client_frame_round_trips(&ClientFrame::Batch {
         id: 1,
         requests: vec![Envelope::new("bulk", Request::ApplyUpdates { updates })],
     });
 }
 
 #[test]
-fn unpinned_requests_keep_the_v1_byte_encoding() {
-    // The at_epoch extension is additive: a request without a pin must
-    // encode to exactly the frame a v1 peer produced (no `at_epoch`
-    // key; `Stats` stays a bare string), or pinning would break every
-    // deployed v1 decoder.
-    let cases: [(Request, &str); 4] = [
-        (
-            Request::classify(vec![3, 1], 5),
-            r#"{"Classify":{"vertices":[3,1],"k":5}}"#,
-        ),
-        (
-            Request::similar(7, 10),
-            r#"{"Similar":{"vertex":7,"top":10}}"#,
-        ),
-        (Request::embed_row(9), r#"{"EmbedRow":{"vertex":9}}"#),
-        (Request::stats(), r#""Stats""#),
-    ];
-    for (req, want) in cases {
-        assert_eq!(String::from_utf8(encode(&req)).unwrap(), want, "{req:?}");
-    }
-}
-
-#[test]
-fn pinned_requests_add_only_the_at_epoch_key() {
-    let cases: [(Request, &str); 4] = [
-        (
-            Request::classify(vec![3], 5).pinned(8),
-            r#"{"Classify":{"vertices":[3],"k":5,"at_epoch":8}}"#,
-        ),
-        (
-            Request::similar(7, 10).pinned(0),
-            r#"{"Similar":{"vertex":7,"top":10,"at_epoch":0}}"#,
-        ),
-        (
-            Request::embed_row(9).pinned(u64::MAX),
-            r#"{"EmbedRow":{"vertex":9,"at_epoch":18446744073709551615}}"#,
-        ),
-        (Request::stats().pinned(2), r#"{"Stats":{"at_epoch":2}}"#),
-    ];
-    for (req, want) in cases {
-        assert_eq!(String::from_utf8(encode(&req)).unwrap(), want, "{req:?}");
-        assert_round_trip(&req);
-    }
-}
-
-#[test]
-fn search_overrides_add_only_the_search_key() {
-    // The v3 extension: a `search` override appends one key after any
-    // `at_epoch` pin; everything before it is the v2 (or v1) byte
-    // encoding unchanged.
-    let cases: [(Request, &str); 5] = [
-        (
-            Request::similar(7, 10).with_search(SearchPolicy::Exact),
-            r#"{"Similar":{"vertex":7,"top":10,"search":"Exact"}}"#,
-        ),
-        (
-            Request::similar(7, 10).with_search(SearchPolicy::Ann {
-                nprobe: 4,
-                refine: 2,
-            }),
-            r#"{"Similar":{"vertex":7,"top":10,"search":{"Ann":{"nprobe":4,"refine":2}}}}"#,
-        ),
-        (
-            Request::classify(vec![3], 5).with_search(SearchPolicy::ann(8)),
-            r#"{"Classify":{"vertices":[3],"k":5,"search":{"Ann":{"nprobe":8,"refine":8}}}}"#,
-        ),
-        (
-            Request::classify(vec![3], 5)
-                .pinned(9)
-                .with_search(SearchPolicy::Exact),
-            r#"{"Classify":{"vertices":[3],"k":5,"at_epoch":9,"search":"Exact"}}"#,
-        ),
-        (
-            Request::similar(1, 2)
-                .pinned(u64::MAX)
-                .with_search(SearchPolicy::Ann {
-                    nprobe: usize::MAX,
-                    refine: 1,
-                }),
-            r#"{"Similar":{"vertex":1,"top":2,"at_epoch":18446744073709551615,"search":{"Ann":{"nprobe":18446744073709551615,"refine":1}}}}"#,
-        ),
-    ];
-    for (req, want) in cases {
-        assert_eq!(String::from_utf8(encode(&req)).unwrap(), want, "{req:?}");
-        assert_round_trip(&req);
-    }
-    // `with_search` is a no-op on requests that don't search, keeping
-    // their frames untouched.
-    assert_eq!(
-        encode(&Request::embed_row(9).with_search(SearchPolicy::ann(2))),
-        encode(&Request::embed_row(9)),
-    );
-    assert_eq!(
-        encode(&Request::stats().with_search(SearchPolicy::Exact)),
-        encode(&Request::stats()),
-    );
-}
-
-#[test]
-fn v2_frames_decode_with_no_search_override() {
-    // Frames captured from a v2 peer (pins, no `search` key) must decode
-    // with `search: None` — and an explicit null maps to None too.
-    let cases: [(&str, Request); 3] = [
-        (
-            r#"{"Classify":{"vertices":[0,2],"k":3,"at_epoch":4}}"#,
-            Request::classify(vec![0, 2], 3).pinned(4),
-        ),
-        (
-            r#"{"Similar":{"vertex":1,"top":4}}"#,
-            Request::similar(1, 4),
-        ),
-        (
-            r#"{"Similar":{"vertex":1,"top":4,"search":null}}"#,
-            Request::similar(1, 4),
-        ),
-    ];
-    for (bytes, want) in cases {
-        let got: Request = decode(bytes.as_bytes()).unwrap();
-        assert_eq!(got, want, "{bytes}");
-        assert!(got.search().is_none());
-    }
-}
-
-#[test]
-fn v1_frames_decode_with_no_pin() {
-    // Frames captured from a v1 peer (no at_epoch anywhere) must decode
-    // into the extended types with `at_epoch: None`.
-    let cases: [(&str, Request); 4] = [
-        (
-            r#"{"Classify":{"vertices":[0,2],"k":3}}"#,
-            Request::classify(vec![0, 2], 3),
-        ),
-        (
-            r#"{"Similar":{"vertex":1,"top":4}}"#,
-            Request::similar(1, 4),
-        ),
-        (r#"{"EmbedRow":{"vertex":5}}"#, Request::embed_row(5)),
-        (r#""Stats""#, Request::stats()),
-    ];
-    for (bytes, want) in cases {
-        let got: Request = decode(bytes.as_bytes()).unwrap();
-        assert_eq!(got, want, "{bytes}");
-    }
-    // An explicit null pin (what a naive deriver would emit) also maps
-    // to None.
-    let got: Request = decode(br#"{"Stats":{"at_epoch":null}}"#).unwrap();
-    assert_eq!(got, Request::stats());
-}
-
-#[test]
-fn v4_metrics_request_pins_its_byte_encoding() {
-    // The v4 extension is a brand-new request variant: it encodes as the
-    // bare string `"Metrics"` (the same unit-variant shape `Stats` uses),
-    // and every pre-v4 request frame stays byte-identical — a v3 client
-    // and a v4 client produce the same bytes for the same v3 request.
-    assert_eq!(
-        String::from_utf8(encode(&Request::Metrics)).unwrap(),
-        r#""Metrics""#
-    );
-    let got: Request = decode(br#""Metrics""#).unwrap();
-    assert_eq!(got, Request::Metrics);
-    assert_round_trip(&Request::Metrics);
-
-    // Metrics never pins or searches: the builders are no-ops, so no
-    // optional key can ever leak into the frame.
-    assert_eq!(
-        encode(&Request::Metrics.pinned(7).with_search(SearchPolicy::ann(2))),
-        encode(&Request::Metrics),
-    );
-
-    // Inside a batch envelope, the position a server sees it.
-    assert_eq!(
-        String::from_utf8(encode(&ClientFrame::Batch {
-            id: 3,
-            requests: vec![Envelope::new("g", Request::Metrics)],
-        }))
-        .unwrap(),
-        r#"{"Batch":{"id":3,"requests":[{"graph":"g","request":"Metrics"}]}}"#,
-    );
-}
-
-#[test]
-fn v3_request_frames_are_byte_identical_under_v4() {
-    // Captured v1/v2/v3 frames (one per protocol extension) must encode
-    // and decode unchanged now that the codec also knows `Metrics`.
-    let cases: [(Request, &str); 3] = [
-        (Request::stats(), r#""Stats""#),
-        (
-            Request::embed_row(9).pinned(4),
-            r#"{"EmbedRow":{"vertex":9,"at_epoch":4}}"#,
-        ),
-        (
-            Request::similar(7, 10).with_search(SearchPolicy::Exact),
-            r#"{"Similar":{"vertex":7,"top":10,"search":"Exact"}}"#,
-        ),
-    ];
-    for (req, want) in cases {
-        assert_eq!(String::from_utf8(encode(&req)).unwrap(), want, "{req:?}");
-        let got: Request = decode(want.as_bytes()).unwrap();
-        assert_eq!(got, req);
-    }
-}
-
-#[test]
-fn v4_metrics_response_round_trips_fully_populated() {
-    let report = MetricsReport {
-        graph: "g".into(),
-        epoch: 12,
-        oldest_epoch: 3,
-        history_depth: 10,
-        ann_indexed_shards: 4,
-        queries_served: 1_000_000,
-        updates_applied: 5_000,
-        classify_us: HistogramReport {
-            buckets: vec![0, 2, 5, 1],
-            count: 8,
-            sum: 431,
-        },
-        similar_us: HistogramReport::empty(),
-        embed_row_us: HistogramReport {
-            buckets: vec![1],
-            count: 1,
-            sum: 0,
-        },
-        stats_us: HistogramReport::empty(),
-        metrics_us: HistogramReport::empty(),
-        apply_updates_us: HistogramReport {
-            buckets: vec![0, 0, 0, 0, 7],
-            count: 7,
-            sum: 77,
-        },
-        coalesce: HistogramReport {
-            buckets: vec![0, 3, 4],
-            count: 7,
-            sum: 19,
-        },
-        overloaded: 2,
-        wal_fsyncs: 40,
-        ivf_builds: 4,
-        ivf_hits: 31,
-        replication: None,
+fn builders_that_do_not_apply_leave_the_frame_untouched() {
+    // `pinned`/`with_search` are no-ops on requests that cannot carry
+    // them, so no optional field can leak into their frames.
+    let bytes = |request: Request| {
+        encode_client_frame(&ClientFrame::Batch {
+            id: 0,
+            requests: vec![Envelope::new("g", request)],
+        })
     };
-    assert_round_trip(&Response::Metrics(report.clone()));
-    assert_round_trip(&ServerFrame::Batch {
-        id: 9,
-        results: vec![Ok(Response::Metrics(report))],
-    });
+    assert_eq!(
+        bytes(Request::embed_row(9).with_search(SearchPolicy::ann(2))),
+        bytes(Request::embed_row(9)),
+    );
+    assert_eq!(
+        bytes(Request::stats().with_search(SearchPolicy::Exact)),
+        bytes(Request::stats()),
+    );
+    assert_eq!(
+        bytes(Request::Metrics.pinned(7).with_search(SearchPolicy::ann(2))),
+        bytes(Request::Metrics),
+    );
 }
 
 #[test]
@@ -699,111 +518,13 @@ fn new_error_frames_round_trip_with_stable_codes() {
         pending: 32,
         max_pending: 32,
     };
-    assert_round_trip(&evicted);
-    assert_round_trip(&overloaded);
     assert_eq!(evicted.code().as_u16(), 13);
     assert_eq!(overloaded.code().as_u16(), 14);
-    // And inside a server Batch frame, the position a client sees them.
-    assert_round_trip(&ServerFrame::Batch {
+    // Inside a server Batch frame, the position a client sees them.
+    assert_server_frame_round_trips(&ServerFrame::Batch {
         id: 7,
         results: vec![Err(evicted), Err(overloaded)],
     });
-}
-
-/// The pre-v5 stats frame, byte for byte: what a v4 server sent (and a
-/// v4 client expects) for a standalone (non-replicated) registry.
-const V4_STATS_FRAME: &str = concat!(
-    r#"{"Stats":{"graph":"g","epoch":7,"oldest_epoch":2,"num_vertices":100,"dim":16,"#,
-    r#""num_shards":4,"num_labeled":10,"ann_indexed_shards":4,"queries_served":55,"#,
-    r#""updates_applied":9}}"#
-);
-
-fn v4_stats_report() -> GraphReport {
-    GraphReport {
-        graph: "g".into(),
-        epoch: 7,
-        oldest_epoch: 2,
-        num_vertices: 100,
-        dim: 16,
-        num_shards: 4,
-        num_labeled: 10,
-        ann_indexed_shards: 4,
-        queries_served: 55,
-        updates_applied: 9,
-        replication: None,
-    }
-}
-
-#[test]
-fn v5_replication_block_is_additive_on_stats() {
-    // Without replication, the v5 encoder must reproduce the v4 frame
-    // byte for byte — and the v5 decoder must accept a captured v4
-    // frame, mapping the absent key to None.
-    let report = v4_stats_report();
-    assert_eq!(
-        String::from_utf8(encode(&Response::Stats(report.clone()))).unwrap(),
-        V4_STATS_FRAME,
-    );
-    let got: Response = decode(V4_STATS_FRAME.as_bytes()).unwrap();
-    assert_eq!(got, Response::Stats(report.clone()));
-
-    // With replication, exactly one key is appended at the end.
-    let replicated = GraphReport {
-        replication: Some(ReplicationReport {
-            role: ReplicationRole::Follower,
-            connected: true,
-            shipped_records: 0,
-            shipped_bytes: 0,
-            follower_conns: 0,
-            lag_epochs: 1,
-            lag_lsns: 3,
-            last_durable_lsn: 42,
-            leader_epoch: 2,
-            fenced: false,
-        }),
-        ..report
-    };
-    let want = format!(
-        "{}{}{}",
-        &V4_STATS_FRAME[..V4_STATS_FRAME.len() - 2],
-        concat!(
-            r#","replication":{"role":"Follower","connected":true,"shipped_records":0,"#,
-            r#""shipped_bytes":0,"follower_conns":0,"lag_epochs":1,"lag_lsns":3,"#,
-            r#""last_durable_lsn":42,"leader_epoch":2,"fenced":false}"#
-        ),
-        "}}",
-    );
-    assert_eq!(
-        String::from_utf8(encode(&Response::Stats(replicated.clone()))).unwrap(),
-        want,
-    );
-    assert_round_trip(&Response::Stats(replicated));
-}
-
-#[test]
-fn v5_replication_block_round_trips_on_metrics() {
-    let leader = ReplicationReport {
-        role: ReplicationRole::Leader,
-        connected: true,
-        shipped_records: 1_000,
-        shipped_bytes: 65_536,
-        follower_conns: 2,
-        lag_epochs: 0,
-        lag_lsns: 0,
-        last_durable_lsn: 0,
-        leader_epoch: 3,
-        fenced: true,
-    };
-    assert_round_trip(&leader);
-    assert_round_trip(&Some(leader.clone()));
-    // A v4 metrics frame (no replication key) decodes with None; see
-    // `v4_metrics_response_round_trips_fully_populated` for the
-    // fully-populated literal this extends.
-    let v4 = r#"{"graph":"g","epoch":1,"oldest_epoch":1,"history_depth":1,"ann_indexed_shards":0,"queries_served":0,"updates_applied":0,"classify_us":{"buckets":[],"count":0,"sum":0},"similar_us":{"buckets":[],"count":0,"sum":0},"embed_row_us":{"buckets":[],"count":0,"sum":0},"stats_us":{"buckets":[],"count":0,"sum":0},"metrics_us":{"buckets":[],"count":0,"sum":0},"apply_updates_us":{"buckets":[],"count":0,"sum":0},"coalesce":{"buckets":[],"count":0,"sum":0},"overloaded":0,"wal_fsyncs":0,"ivf_builds":0,"ivf_hits":0}"#;
-    let got: MetricsReport = decode(v4.as_bytes()).unwrap();
-    assert_eq!(got.replication, None);
-    // And a None block re-encodes to the identical v4 bytes.
-    assert_eq!(String::from_utf8(encode(&got)).unwrap(), v4);
 }
 
 #[test]
@@ -813,11 +534,7 @@ fn read_only_replica_error_has_code_15() {
         leader: "10.0.0.1:7777".into(),
     };
     assert_eq!(err.code().as_u16(), 15);
-    assert_round_trip(&err);
-    assert_round_trip(&ServerFrame::Batch {
-        id: 11,
-        results: vec![Err(err)],
-    });
+    assert_result_round_trips(Err(err));
 }
 
 #[test]
@@ -828,9 +545,152 @@ fn stale_leader_error_has_code_16() {
     };
     assert_eq!(err.code().as_u16(), 16);
     assert!(err.to_string().contains("stale"), "{err}");
-    assert_round_trip(&err);
-    assert_round_trip(&ServerFrame::Batch {
-        id: 12,
-        results: vec![Err(err)],
-    });
+    assert_result_round_trips(Err(err));
+}
+
+// ---------------------------------------------------------------------
+// Never-panic: the decoders against hostile bytes.
+// ---------------------------------------------------------------------
+
+/// Records the largest single allocation each thread requests, so a
+/// decode can be held to "no allocation the input does not account for".
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // `try_with`: allocations during thread teardown are not ours to judge.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAlloc = LargestAlloc;
+
+/// The largest single allocation `f` requested on this thread.
+fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// The decoders pre-size a `Vec` from a count field only after bounding
+/// the count by the bytes that remain, so the worst a hostile frame can
+/// ask for is one in-memory element per input byte — plus the few
+/// hundred bytes of an error message.
+fn alloc_bound(input_len: usize) -> usize {
+    let element =
+        std::mem::size_of::<Result<Response, ServeError>>().max(std::mem::size_of::<Envelope>());
+    input_len * element + 1024
+}
+
+/// Feed `bytes` to one decoder: a typed `Protocol` error or a value
+/// that re-encodes to a fixed point, within the allocation bound.
+/// (Compared on bytes, not values: a mutated `f64` may be a NaN.)
+fn check_decoder<T>(
+    bytes: &[u8],
+    decode: fn(&[u8]) -> Result<T, ServeError>,
+    encode: fn(&T) -> Vec<u8>,
+) {
+    let (outcome, largest) = largest_alloc_during(|| decode(bytes));
+    assert!(
+        largest <= alloc_bound(bytes.len()),
+        "decoding {} bytes allocated {largest} at once",
+        bytes.len()
+    );
+    match outcome {
+        Err(ServeError::Protocol { .. }) => {}
+        Err(other) => panic!("decode failures must be Protocol, got {other:?}"),
+        Ok(value) => {
+            let canonical = encode(&value);
+            let again = decode(&canonical)
+                .unwrap_or_else(|e| panic!("re-encoded frame does not decode: {e}"));
+            assert_eq!(encode(&again), canonical);
+        }
+    }
+}
+
+/// Hostile bytes could arrive at either end.
+fn check_both_decoders(bytes: &[u8]) {
+    check_decoder(bytes, decode_client_frame, encode_client_frame);
+    check_decoder(bytes, decode_server_frame, encode_server_frame);
+}
+
+/// A frame body around `payload` with a *valid* checksum: the CRC is an
+/// integrity check, not a trust boundary, so the parser behind it must
+/// hold on its own.
+fn sealed(payload: &[u8]) -> Vec<u8> {
+    let mut body = crc32(payload).to_le_bytes().to_vec();
+    body.extend_from_slice(payload);
+    body
+}
+
+/// Every hostile variant of one valid frame body.
+fn check_hostile_variants(body: &[u8], mask: u8) {
+    for cut in 0..body.len() {
+        check_both_decoders(&body[..cut]);
+    }
+    let payload = &body[4..];
+    for pos in 0..payload.len() {
+        let mut mutated = payload.to_vec();
+        mutated[pos] ^= mask;
+        check_both_decoders(&sealed(&mutated));
+        // Wherever a count field sits, it now claims u32::MAX items.
+        if let Some(field) = mutated.get_mut(pos..pos + 4) {
+            field.fill(0xff);
+            check_both_decoders(&sealed(&mutated));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(raw in vec(any::<u8>(), 0..96)) {
+        // As-is (the checksum all but surely fails) and behind a valid
+        // checksum (the parser itself sees the garbage).
+        check_both_decoders(&raw);
+        check_both_decoders(&sealed(&raw));
+    }
+
+    #[test]
+    fn hostile_client_frames_never_panic_a_decoder(x in arb_client_frame(), mask in 1u8..255) {
+        check_hostile_variants(&encode_client_frame(&x), mask);
+    }
+
+    #[test]
+    fn hostile_server_frames_never_panic_a_decoder(x in arb_server_frame(), mask in 1u8..255) {
+        check_hostile_variants(&encode_server_frame(&x), mask);
+    }
+}
+
+#[test]
+fn a_huge_count_in_a_tiny_frame_is_refused_before_allocating() {
+    // tag Batch, id 0, then "u32::MAX results follow" — and nothing does.
+    let mut payload = vec![2u8];
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&u32::MAX.to_le_bytes());
+    let body = sealed(&payload);
+    let (outcome, largest) = largest_alloc_during(|| decode_server_frame(&body));
+    assert!(matches!(outcome, Err(ServeError::Protocol { .. })));
+    assert!(largest < 1024, "allocated {largest} for a 17-byte frame");
+    let (outcome, largest) = largest_alloc_during(|| decode_client_frame(&body));
+    assert!(matches!(outcome, Err(ServeError::Protocol { .. })));
+    assert!(largest < 1024, "allocated {largest} for a 17-byte frame");
 }

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gee_repro::prelude::*;
-use gee_repro::serve::wire::{self, ServerFrame};
-use gee_repro::serve::{Durability, Registry, SyncPolicy};
+use gee_repro::serve::codec::encode_server_frame;
+use gee_repro::serve::{Durability, Registry, ServerFrame, SyncPolicy};
 
 const GRAPH: &str = "social";
 const BATCHES: usize = 12;
@@ -62,7 +62,7 @@ fn answers(engine: &ServeEngine, n: u32) -> Vec<u8> {
         Envelope::new(GRAPH, Request::embed_row(n + 1)), // typed error
     ]);
     results.push(engine.execute(GRAPH, Request::stats()));
-    wire::encode(&ServerFrame::Batch { id: 0, results })
+    encode_server_frame(&ServerFrame::Batch { id: 0, results })
 }
 
 fn main() {

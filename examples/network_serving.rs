@@ -16,7 +16,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gee_repro::prelude::*;
-use gee_repro::serve::{wire, Client, Server};
+use gee_repro::serve::codec::encode_server_frame;
+use gee_repro::serve::{Client, Server, ServerFrame};
 
 /// Build one engine from the canonical inputs; called twice so the
 /// served and oracle registries start bit-identical.
@@ -93,10 +94,11 @@ fn main() {
             over_wire, in_process,
             "batch {i}: wire answers must equal in-process"
         );
-        let encoded = wire::encode(&over_wire);
+        let frame = |results| encode_server_frame(&ServerFrame::Batch { id: 0, results });
+        let encoded = frame(over_wire);
         assert_eq!(
             encoded,
-            wire::encode(&in_process),
+            frame(in_process),
             "batch {i}: responses must be byte-identical on the wire"
         );
         wire_bytes += encoded.len();

@@ -89,18 +89,17 @@
 //! `gee serve --index ivf --nprobe N` and `gee query --nprobe N |
 //! --exact true`.
 //!
-//! ### Wire protocol (v5)
+//! ### Wire protocol
 //!
-//! The serve types double as a versioned network contract
-//! ([`serve::wire`]): frames are compact JSON (serde's externally-tagged
-//! enums, exact 64-bit integers), length-prefixed with a big-endian `u32`
-//! on TCP, and exchanged over any [`serve::Transport`] — loopback-free
-//! in-process [`serve::duplex`] or [`serve::TcpTransport`]. A connection
-//! opens with a `Hello` handshake that negotiates the protocol version
-//! (currently [`serve::PROTOCOL_VERSION`] = 5; v1–v4 are still
-//! spoken — the v2 `at_epoch` pin, v3 `search` override, v4 `Metrics`
-//! request, and v5 `replication` report block are additive extensions
-//! whose absence encodes byte-identically to older frames), then carries pipelined
+//! The serve types double as a network contract ([`serve::wire`]): a
+//! frame is a CRC-checked binary body ([`serve::codec`] — the one
+//! encoding, handshake included), length-prefixed with a big-endian
+//! `u32` on TCP, and exchanged over any [`serve::Transport`] —
+//! loopback-free in-process [`serve::duplex`] or
+//! [`serve::TcpTransport`]. A connection opens with a `Hello` handshake:
+//! the server speaks exactly one version ([`serve::PROTOCOL_VERSION`])
+//! and refuses any advertised range that does not contain it with a
+//! typed `VersionUnsupported`. The connection then carries pipelined
 //! request batches; failures travel as typed [`serve::ServeError`] values
 //! with stable numeric [`serve::ErrorCode`]s. A [`serve::Server`] feeds
 //! decoded batches to `Engine::execute_batch`, and the blocking
@@ -142,7 +141,7 @@
 //! read surface — `Classify`/`Similar`/`EmbedRow`/`Stats`/`Metrics`,
 //! `at_epoch` pins, ANN policies — and rejects writes with
 //! [`serve::ServeError::ReadOnlyReplica`] (code 15) naming the leader.
-//! Lag (epochs and LSNs) and ship counters surface through the v5
+//! Lag (epochs and LSNs) and ship counters surface through the
 //! `replication` block on `Stats`/`Metrics`
 //! ([`serve::ReplicationReport`]). Corruption on the stream — torn
 //! frames, bit flips, LSN discontinuities — surfaces typed as
@@ -182,7 +181,7 @@
 //! Two halves close the loop between "the server runs" and "the server
 //! is fast, and we can prove it":
 //!
-//! * **Server metrics** — the protocol-v4 `Metrics` request
+//! * **Server metrics** — the `Metrics` request
 //!   ([`serve::MetricsReport`], `Engine::metrics` / `Client::metrics`,
 //!   `gee query --metrics true`) returns the counters every serving
 //!   registry maintains atomically on the hot path: per-request-type
