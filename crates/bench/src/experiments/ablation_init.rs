@@ -11,17 +11,17 @@
 //! * the edge pass (O(s)).
 //!
 //! ```text
-//! cargo run --release -p gee-bench --bin ablation-init -- --scale 16
+//! cargo run --release -p gee-bench --bin paper -- ablation-init --scale 16
 //! ```
 
 use std::time::Instant;
 
-use gee_bench::table::{fmt_secs, render};
-use gee_bench::Args;
-use gee_core::{Labels, Projection};
-use gee_gen::LabelSpec;
-use gee_graph::{CsrGraph, VertexId, Weight};
+use gee_core::Projection;
+use gee_graph::{VertexId, Weight};
 use gee_ligra::{edge_map, AtomicF64Vec, EdgeMapFn, EdgeMapOptions, TraversalKind, VertexSubset};
+
+use crate::report::{col, Cell, Report};
+use crate::{Args, Input};
 
 /// Algorithm 2's updateEmb, replicated here so each phase can be timed.
 struct UpdateEmb<'a> {
@@ -54,43 +54,41 @@ impl EdgeMapFn for UpdateEmb<'_> {
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Report {
     let n = (4_000_000 / args.scale).max(10_000);
     let k = args.k;
-    let spec = LabelSpec {
-        num_classes: k,
-        labeled_fraction: args.labeled_fraction,
-    };
-    println!("§III initialization ablation — n = {n}, K = {k}, average degree sweep\n");
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
+    let mut report = Report::new(
+        "ablation_init",
+        format!("§III initialization ablation — n = {n}, K = {k}, average degree sweep"),
+        vec![
+            col("avg deg", "avg_degree"),
+            col("s / nK", "s_over_nk"),
+            col("W sparse", "proj_sparse"),
+            col("W dense(O(nK))", "proj_dense_paper_form"),
+            col("Z init(O(nK))", "z_init"),
+            col("edge pass", "edge_pass"),
+            col("init share", "init_share"),
+        ],
+    );
     for avg_degree in [1usize, 2, 4, 8, 16, 32, 64] {
         let m = n * avg_degree;
         let el = gee_gen::erdos_renyi_gnm(n, m, args.seed + avg_degree as u64);
-        let g = CsrGraph::from_edge_list(&el);
-        let labels = Labels::from_options_with_k(
-            &gee_gen::random_labels(n, spec, args.seed ^ avg_degree as u64),
-            k,
-        );
+        let Input { g, labels, .. } = Input::new(el, args, args.seed ^ avg_degree as u64);
         // Warm-up pass so allocator pools are faulted in.
         let _ = gee_core::ligra::embed(&g, &labels, gee_core::AtomicsMode::Atomic);
-        // Median-of-runs per phase.
-        let mut proj_t = Vec::new();
-        let mut dense_proj_t = Vec::new();
-        let mut z_t = Vec::new();
-        let mut edge_t = Vec::new();
+        // Median-of-runs per phase: projection, dense projection, Z, edges.
+        let mut phases: [Vec<f64>; 4] = Default::default();
         for _ in 0..args.runs {
             let t0 = Instant::now();
             let proj = Projection::build_parallel(&labels);
-            proj_t.push(t0.elapsed().as_secs_f64());
+            phases[0].push(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
             let dense = proj.to_dense(&labels); // the paper's O(nK) W
-            dense_proj_t.push(t0.elapsed().as_secs_f64());
+            phases[1].push(t0.elapsed().as_secs_f64());
             drop(dense);
             let t0 = Instant::now();
             let z = AtomicF64Vec::zeros(n * k);
-            z_t.push(t0.elapsed().as_secs_f64());
+            phases[2].push(t0.elapsed().as_secs_f64());
             let functor = UpdateEmb {
                 z: &z,
                 coeff: proj.as_slice(),
@@ -107,59 +105,28 @@ fn main() {
                     no_output: true,
                 },
             );
-            edge_t.push(t0.elapsed().as_secs_f64());
+            phases[3].push(t0.elapsed().as_secs_f64());
         }
-        let med = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let [tp, td, tz, te] = phases.map(|mut v| {
+            v.sort_by(f64::total_cmp);
             v[v.len() / 2]
-        };
-        let (tp, td, tz, te) = (
-            med(&mut proj_t),
-            med(&mut dense_proj_t),
-            med(&mut z_t),
-            med(&mut edge_t),
-        );
+        });
         let init_share = (tp + tz) / (tp + tz + te);
-        rows.push(vec![
-            avg_degree.to_string(),
-            format!("{:.2}", m as f64 / (n * k) as f64),
-            fmt_secs(tp),
-            fmt_secs(td),
-            fmt_secs(tz),
-            fmt_secs(te),
-            format!("{:.0}%", init_share * 100.0),
+        report.push(vec![
+            Cell::int(avg_degree),
+            Cell::ratio(m as f64 / (n * k) as f64),
+            Cell::secs(tp),
+            Cell::secs(td),
+            Cell::secs(tz),
+            Cell::secs(te),
+            Cell::new(init_share, format!("{:.0}%", init_share * 100.0)),
         ]);
-        json.push(serde_json::json!({
-            "avg_degree": avg_degree,
-            "s_over_nk": m as f64 / (n * k) as f64,
-            "proj_sparse": tp,
-            "proj_dense_paper_form": td,
-            "z_init": tz,
-            "edge_pass": te,
-            "init_share": init_share,
-        }));
         eprintln!("done: degree {avg_degree}");
     }
-    println!(
-        "{}",
-        render(
-            &[
-                "avg deg",
-                "s / nK",
-                "W sparse",
-                "W dense(O(nK))",
-                "Z init(O(nK))",
-                "edge pass",
-                "init share"
-            ],
-            &rows
-        )
+    report.note(
+        "expected shape: the O(nK) columns are flat while the edge pass grows with degree, so the\n\
+         init share is largest at the lowest degree (s << nK) — the paper's motivation for parallelizing it."
+            .into(),
     );
-    println!("expected shape: the O(nK) columns are flat while the edge pass grows with degree, so the\ninit share is largest at the lowest degree (s << nK) — the paper's motivation for parallelizing it.");
-    if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::json!({ "ablation_init": json })).unwrap()
-        );
-    }
+    report
 }

@@ -5,28 +5,29 @@
 //! natural order, degree-descending order, and BFS order.
 //!
 //! ```text
-//! cargo run --release -p gee-bench --bin ablation-reorder -- --scale 128
+//! cargo run --release -p gee-bench --bin paper -- ablation-reorder --scale 128
 //! ```
 
-use gee_bench::table::{fmt_secs, render};
-use gee_bench::{table1_workloads, timed, Args};
 use gee_core::{AtomicsMode, Labels};
 use gee_gen::LabelSpec;
 use gee_graph::{ordering, CsrGraph};
 
-fn main() {
-    let args = Args::parse();
-    let w = table1_workloads()
-        .into_iter()
-        .last()
-        .expect("have workloads");
-    let spec = LabelSpec {
-        num_classes: args.k,
-        labeled_fraction: args.labeled_fraction,
-    };
-    println!(
-        "Reordering ablation — GEE on the {} stand-in (1/{} scale) under four vertex orders\n",
-        w.name, args.scale
+use crate::report::{col, Cell, Report};
+use crate::{largest, time_ligra, verify_embedding, Args};
+
+pub fn run(args: &Args) -> Report {
+    let w = largest();
+    let mut report = Report::new(
+        "ablation_reorder",
+        format!(
+            "Reordering ablation — GEE on the {} stand-in (1/{} scale) under four vertex orders",
+            w.name, args.scale
+        ),
+        vec![
+            col("Vertex order", "order"),
+            col("GEE runtime", "seconds"),
+            col("vs shuffle", "vs_shuffle"),
+        ],
     );
     let el = w.generate(args.scale, args.seed);
     let base = CsrGraph::from_edge_list(&el);
@@ -34,6 +35,10 @@ fn main() {
     // the graph — otherwise each ordering changes which hubs are labeled
     // and therefore the number of updates performed, and the comparison
     // measures labeling luck instead of locality.
+    let spec = LabelSpec {
+        num_classes: args.k,
+        labeled_fraction: args.labeled_fraction,
+    };
     let structural_labels = gee_gen::random_labels(el.num_vertices(), spec, args.seed ^ 0xBEEF);
     let orders: Vec<(&str, Option<Vec<u32>>)> = vec![
         (
@@ -44,8 +49,6 @@ fn main() {
         ("degree descending", Some(ordering::degree_order(&base))),
         ("BFS order", Some(ordering::bfs_order(&base))),
     ];
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
     let mut baseline = None;
     for (name, perm) in orders {
         let ordered_el;
@@ -63,32 +66,19 @@ fn main() {
         let g = CsrGraph::from_edge_list(el_ref);
         let labels = Labels::from_options_with_k(&relabeled, args.k);
         let _ = gee_core::ligra::embed(&g, &labels, AtomicsMode::Atomic); // warm-up
-        let (secs, _, z) = timed(args.runs, || {
-            gee_ligra::with_threads(args.threads, || {
-                gee_core::ligra::embed(&g, &labels, AtomicsMode::Atomic)
-            })
-        });
-        gee_bench::verify_embedding(&z, el_ref, &labels, name);
+        let (secs, z) = time_ligra(&g, &labels, args, args.threads, AtomicsMode::Atomic);
+        verify_embedding(&z, el_ref, &labels, name);
         let base_secs = *baseline.get_or_insert(secs);
-        rows.push(vec![
-            name.to_string(),
-            fmt_secs(secs),
-            format!("{:.2}", secs / base_secs),
+        report.push(vec![
+            Cell::text(name),
+            Cell::secs(secs),
+            Cell::ratio(secs / base_secs),
         ]);
-        json.push(
-            serde_json::json!({ "order": name, "seconds": secs, "vs_shuffle": secs / base_secs }),
-        );
         eprintln!("done: {name}");
     }
-    println!(
-        "{}",
-        render(&["Vertex order", "GEE runtime", "vs shuffle"], &rows)
+    report.note(
+        "expected shape: shuffle slowest; degree/BFS orders cut the random-write miss rate."
+            .into(),
     );
-    println!("expected shape: shuffle slowest; degree/BFS orders cut the random-write miss rate.");
-    if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::json!({ "ablation_reorder": json })).unwrap()
-        );
-    }
+    report
 }

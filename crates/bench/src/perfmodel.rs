@@ -36,9 +36,10 @@ pub fn gee_bytes_per_edge(weighted: bool) -> f64 {
 }
 
 /// Measure sustainable memory bandwidth (bytes/second) with a parallel
-/// out-of-cache triad `a[i] = b[i] + s·c[i]`, median of `runs` sweeps.
-pub fn measure_bandwidth(runs: usize) -> f64 {
-    let n = 1 << 24; // 3 × 128 MiB of f64 — far beyond LLC
+/// triad `a[i] = b[i] + s·c[i]` over three arrays of `n` `f64`s, median
+/// of `runs` sweeps. The caller sizes `n` so the arrays are out of cache
+/// like the graph it is compared with (`1 << 24` is 3 × 128 MiB).
+pub fn measure_bandwidth(n: usize, runs: usize) -> f64 {
     let b = vec![1.0f64; n];
     let c = vec![2.0f64; n];
     let mut a = vec![0.0f64; n];
@@ -95,9 +96,9 @@ mod tests {
 
     #[test]
     fn bandwidth_measurement_is_plausible() {
-        // One quick sweep; any real machine lands between 100 MB/s and
-        // 1 TB/s.
-        let bw = measure_bandwidth(1);
+        // One quick sweep over 3 × 8 MiB; any real machine lands between
+        // 100 MB/s and 1 TB/s.
+        let bw = measure_bandwidth(1 << 20, 1);
         assert!(bw > 1e8 && bw < 1e12, "measured {bw:.3e} B/s");
     }
 }

@@ -7,9 +7,12 @@ use std::time::Instant;
 use gee_core::{diagnostics, AtomicsMode, Embedding, Labels};
 use gee_graph::{CsrGraph, EdgeList};
 
+use crate::workloads::Input;
+use crate::Args;
+
 /// Which implementation a measurement timed. Mirrors the paper's Table I
 /// columns, with the interpreted executor standing in for GEE-Python.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Impl {
     /// `gee-interp` bytecode executor (GEE-Python cost model).
     Interp,
@@ -22,6 +25,14 @@ pub enum Impl {
 }
 
 impl Impl {
+    /// Table I's column order.
+    pub const ALL: [Impl; 4] = [
+        Impl::Interp,
+        Impl::Optimized,
+        Impl::LigraSerial,
+        Impl::LigraParallel,
+    ];
+
     /// Table column label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -33,20 +44,9 @@ impl Impl {
     }
 }
 
-/// One timing result.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct Measurement {
-    /// Implementation measured.
-    pub implementation: Impl,
-    /// Median wall-clock seconds across runs.
-    pub seconds: f64,
-    /// All run times (seconds).
-    pub all_runs: Vec<f64>,
-}
-
-/// Time `f` returning (median seconds, every run's seconds). The result of
-/// the last run is returned for verification.
-pub fn timed<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, Vec<f64>, T) {
+/// Time `f`: the median seconds of `runs` calls and the last call's
+/// result, for verification.
+pub fn timed<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     assert!(runs >= 1);
     let mut times = Vec::with_capacity(runs);
     let mut last = None;
@@ -56,9 +56,8 @@ pub fn timed<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, Vec<f64>, T) {
         times.push(t0.elapsed().as_secs_f64());
         last = Some(out);
     }
-    let mut sorted = times.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (sorted[sorted.len() / 2], times, last.unwrap())
+    times.sort_by(f64::total_cmp);
+    (times[times.len() / 2], last.unwrap())
 }
 
 /// Check the embedding against the conservation invariant; panics with a
@@ -75,74 +74,65 @@ pub fn verify_embedding(z: &Embedding, el: &EdgeList, labels: &Labels, what: &st
     );
 }
 
-/// Run and time one implementation. The CSR graph is prebuilt (Ligra's
-/// graph load is not part of the paper's timed region); the edge-list
-/// implementations get the edge list directly.
-pub fn time_implementation(
-    which: Impl,
-    el: &EdgeList,
+/// Time GEE-Ligra on `threads` threads (0 = all cores): median seconds
+/// of `--runs` and the last run's embedding.
+pub fn time_ligra(
     g: &CsrGraph,
     labels: &Labels,
-    runs: usize,
+    args: &Args,
     threads: usize,
-) -> Measurement {
-    let (seconds, all_runs, z) = match which {
-        Impl::Interp => timed(runs, || gee_interp::embed(el, labels)),
-        Impl::Optimized => timed(runs, || gee_core::serial_optimized::embed(el, labels)),
-        Impl::LigraSerial => timed(runs, || {
-            gee_ligra::with_threads(1, || gee_core::ligra::embed(g, labels, AtomicsMode::Atomic))
-        }),
-        Impl::LigraParallel => timed(runs, || {
-            gee_ligra::with_threads(threads, || {
-                gee_core::ligra::embed(g, labels, AtomicsMode::Atomic)
-            })
-        }),
+    mode: AtomicsMode,
+) -> (f64, Embedding) {
+    timed(args.runs, || {
+        gee_ligra::with_threads(threads, || gee_core::ligra::embed(g, labels, mode))
+    })
+}
+
+/// Median seconds of one implementation at `--runs`/`--threads`, its
+/// output checked. The CSR graph is prebuilt (Ligra's graph load is not
+/// part of the paper's timed region); the edge-list implementations get
+/// the edge list directly.
+pub fn time_implementation(which: Impl, input: &Input, args: &Args) -> f64 {
+    let Input { el, g, labels } = input;
+    let (seconds, z) = match which {
+        Impl::Interp => timed(args.runs, || gee_interp::embed(el, labels)),
+        Impl::Optimized => timed(args.runs, || gee_core::serial_optimized::embed(el, labels)),
+        Impl::LigraSerial => time_ligra(g, labels, args, 1, AtomicsMode::Atomic),
+        Impl::LigraParallel => time_ligra(g, labels, args, args.threads, AtomicsMode::Atomic),
     };
     verify_embedding(&z, el, labels, which.label());
-    Measurement {
-        implementation: which,
-        seconds,
-        all_runs,
-    }
+    seconds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gee_gen::LabelSpec;
 
     #[test]
     fn all_four_implementations_run_and_verify() {
-        let el = gee_gen::erdos_renyi_gnm(500, 5000, 3);
-        let g = CsrGraph::from_edge_list(&el);
-        let labels = Labels::from_options(&gee_gen::random_labels(
-            500,
-            LabelSpec {
-                num_classes: 10,
-                labeled_fraction: 0.1,
-            },
-            7,
-        ));
-        for which in [
-            Impl::Interp,
-            Impl::Optimized,
-            Impl::LigraSerial,
-            Impl::LigraParallel,
-        ] {
-            let m = time_implementation(which, &el, &g, &labels, 1, 0);
-            assert!(m.seconds >= 0.0);
-            assert_eq!(m.all_runs.len(), 1);
+        let args = Args {
+            k: 10,
+            runs: 1,
+            ..Args::default()
+        };
+        let input = Input::new(gee_gen::erdos_renyi_gnm(500, 5000, 3), &args, 7);
+        for which in Impl::ALL {
+            assert!(time_implementation(which, &input, &args) >= 0.0);
         }
     }
 
     #[test]
     fn timed_reports_median() {
         let mut calls = 0;
-        let (med, all, _) = timed(3, || {
+        let (med, last) = timed(3, || {
             calls += 1;
+            calls
         });
-        assert_eq!(calls, 3);
-        assert_eq!(all.len(), 3);
+        assert_eq!(
+            (calls, last),
+            (3, 3),
+            "every run made, the last one returned"
+        );
         assert!(med >= 0.0);
     }
 }

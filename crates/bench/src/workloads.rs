@@ -1,14 +1,17 @@
 //! The paper's Table I workloads, regenerated as R-MAT stand-ins.
 //!
 //! The SNAP graphs themselves are not redistributable inside this repo and
-//! Friendster (1.8B edges) exceeds laptop memory; per DESIGN.md the harness
+//! Friendster (1.8B edges) exceeds laptop memory, so the harness
 //! generates R-MAT graphs whose `(n, s)` *shape* matches each paper graph
 //! at `1/scale` size. R-MAT with the canonical social-network parameters
 //! reproduces the skewed degree distributions that drive the paper's cache
 //! and atomics behaviour.
 
-use gee_gen::{rmat, RmatParams};
-use gee_graph::EdgeList;
+use gee_core::Labels;
+use gee_gen::{rmat, LabelSpec, RmatParams};
+use gee_graph::{CsrGraph, EdgeList};
+
+use crate::Args;
 
 /// One Table I row: the paper's graph and its scaled stand-in.
 #[derive(Debug, Clone)]
@@ -66,7 +69,45 @@ pub fn table1_workloads() -> Vec<Workload> {
     ]
 }
 
+/// The largest Table I graph (Friendster) — the subject of Figs. 2–3
+/// and of every single-graph ablation.
+pub fn largest() -> Workload {
+    table1_workloads().pop().expect("have workloads")
+}
+
+/// Random labels over `n` vertices: `k` classes at `--labeled` coverage.
+pub fn labels(args: &Args, n: usize, k: usize, seed: u64) -> Labels {
+    let spec = LabelSpec {
+        num_classes: k,
+        labeled_fraction: args.labeled_fraction,
+    };
+    Labels::from_options_with_k(&gee_gen::random_labels(n, spec, seed), k)
+}
+
+/// What an experiment times: a graph as edge list and as CSR (Ligra's
+/// graph load is not part of the paper's timed region) with `--k`-class
+/// labels.
+pub struct Input {
+    pub el: EdgeList,
+    pub g: CsrGraph,
+    pub labels: Labels,
+}
+
+impl Input {
+    pub fn new(el: EdgeList, args: &Args, label_seed: u64) -> Input {
+        let g = CsrGraph::from_edge_list(&el);
+        let labels = labels(args, el.num_vertices(), args.k, label_seed);
+        Input { el, g, labels }
+    }
+}
+
 impl Workload {
+    /// The stand-in at `--scale` with labels seeded `--seed ^ label_salt`.
+    pub fn input(&self, args: &Args, label_salt: u64) -> Input {
+        let el = self.generate(args.scale, args.seed);
+        Input::new(el, args, args.seed ^ label_salt)
+    }
+
     /// Scaled stand-in sizes.
     pub fn scaled(&self, scale: usize) -> (usize, usize) {
         (

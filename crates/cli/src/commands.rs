@@ -75,7 +75,7 @@ subcommands:
                --qps Q paces an open loop at Q req/s total instead of closed loop;
                --poll-metrics MS samples the server's Metrics endpoint
                every MS ms (0 disables), interleaving `server` rows into the CSV;
-               --csv writes the per-request rows, --json a BENCH_*.json report
+               --csv writes the per-request rows, --json a gee-bench-v1 report
                (servers should run with --history deep enough for timetravel pins)
   bench-report [--in FILE] [--bench NAME=serve_loadgen] [--json FILE]
                streaming CSV→JSON analytics filter: read bench CSV rows from
@@ -1054,7 +1054,7 @@ fn query(flags: &Flags) -> crate::Result<String> {
 }
 
 /// `bench`: multi-client load generation against a running server, with
-/// per-request CSV rows and a BENCH_*.json report.
+/// per-request CSV rows and a `gee-bench-v1` JSON report.
 fn bench(flags: &Flags) -> crate::Result<String> {
     use gee_loadgen::{run_bench, Analysis, BenchConfig, Mix};
     let addr = flags.require("connect")?.to_string();

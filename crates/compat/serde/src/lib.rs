@@ -5,29 +5,18 @@
 //! model to one concrete self-describing tree — [`Value`], the type
 //! `serde_json` calls by the same name (the `serde_json` stand-in
 //! re-exports it) — which is all the workspace needs: every serialized
-//! byte here is JSON.
+//! byte here is report JSON, built with `json!` and read back as a tree.
 //!
-//! * [`Serialize`] renders a type into a [`Value`];
-//! * [`Deserialize`] rebuilds a type from a [`&Value`](Value), reporting
-//!   mismatches as [`DeError`];
-//! * `#[derive(Serialize)]` / `#[derive(Deserialize)]` (re-exported from
-//!   the `serde_derive` stand-in) generate real impls following serde's
-//!   externally-tagged enum conventions, so `decode(encode(x)) == x`
-//!   round-trips hold for derived types;
+//! * [`Serialize`] renders a type into a [`Value`] and [`Deserialize`]
+//!   rebuilds one from a [`&Value`](Value); the only implementor of
+//!   either is [`Value`] itself (there is no derive — nothing in the
+//!   workspace serializes a typed struct), and the traits exist so the
+//!   `serde_json` entry points keep real serde_json's generic signatures
+//!   (`from_str::<Value>(..)`);
 //! * [`Number`] keeps `u64`/`i64` exact (not squeezed through `f64`), so
-//!   epoch counters and other 64-bit ids survive the wire bit-for-bit.
-//!
-//! Missing object keys deserialize as [`Value::Null`]; combined with
-//! `Option<T>`'s impl this gives serde's "absent `Option` field is
-//! `None`" behavior, while absent required fields fail with a type error.
+//!   epoch counters and other 64-bit ids survive a report bit-for-bit.
 
 use std::fmt;
-
-// Let the generated `::serde::` paths resolve inside this crate's own
-// tests as well as in downstream crates.
-extern crate self as serde;
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// A JSON number: exact unsigned/signed integers, or a float.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,18 +166,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Short description of the value's kind, for error messages.
-    fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
 }
 
 impl std::ops::Index<&str> for Value {
@@ -287,10 +264,6 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-fn type_error(expected: &str, found: &Value) -> DeError {
-    DeError(format!("expected {expected}, found {}", found.kind()))
-}
-
 /// Render `self` into the concrete data model.
 ///
 /// Real serde's `fn serialize<S: Serializer>` collapsed to the one
@@ -304,139 +277,9 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
 }
 
-// ---------------------------------------------------------------- helpers
-// used by the generated derive code (public but hidden from docs).
-
-/// Object field lookup for derived `Deserialize` impls. Missing keys
-/// resolve to `Null` so `Option` fields default to `None`.
-#[doc(hidden)]
-pub fn de_field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, DeError> {
-    match v {
-        Value::Object(_) => Ok(v.get(name).unwrap_or(&NULL)),
-        other => Err(type_error("object", other)),
-    }
-}
-
-/// Fixed-arity array access for derived tuple-variant impls.
-#[doc(hidden)]
-pub fn de_tuple<'a>(v: &'a Value, n: usize, what: &str) -> Result<&'a [Value], DeError> {
-    match v {
-        Value::Array(items) if items.len() == n => Ok(items),
-        Value::Array(items) => Err(DeError(format!(
-            "expected {n} elements for {what}, found {}",
-            items.len()
-        ))),
-        other => Err(type_error("array", other)),
-    }
-}
-
-// ------------------------------------------------------- primitive impls
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Value, DeError> {
-        Ok(v.clone())
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<bool, DeError> {
-        v.as_bool().ok_or_else(|| type_error("bool", v))
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<String, DeError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| type_error("string", v))
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-macro_rules! impl_serde_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from(*self))
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<$t, DeError> {
-                let Value::Number(n) = v else {
-                    return Err(type_error(stringify!($t), v));
-                };
-                let out = match *n {
-                    Number::PosInt(x) => <$t>::try_from(x).ok(),
-                    Number::NegInt(x) => <$t>::try_from(x).ok(),
-                    Number::Float(_) => None,
-                };
-                out.ok_or_else(|| DeError(format!(
-                    "number {n:?} out of range for {}", stringify!($t)
-                )))
-            }
-        }
-    )*};
-}
-
-impl_serde_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::Float(*self))
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<f64, DeError> {
-        match v {
-            // The paired encoder prints non-finite floats as `null`
-            // (JSON has no NaN/Inf); accept the round trip so a NaN
-            // reaches domain validation instead of killing the decode.
-            Value::Null => Ok(f64::NAN),
-            _ => v.as_f64().ok_or_else(|| type_error("number", v)),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::Float(f64::from(*self)))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<f32, DeError> {
-        match v {
-            Value::Null => Ok(f32::NAN),
-            _ => v
-                .as_f64()
-                .map(|x| x as f32)
-                .ok_or_else(|| type_error("number", v)),
-        }
     }
 }
 
@@ -446,83 +289,11 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Value, DeError> {
+        Ok(v.clone())
     }
 }
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Vec<T>, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(type_error("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Option<T>, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-}
-
-/// `Result` follows real serde's externally tagged form:
-/// `{"Ok": ..}` / `{"Err": ..}`.
-impl<T: Serialize, E: Serialize> Serialize for Result<T, E> {
-    fn to_value(&self) -> Value {
-        match self {
-            Ok(x) => Value::Object(vec![("Ok".to_string(), x.to_value())]),
-            Err(e) => Value::Object(vec![("Err".to_string(), e.to_value())]),
-        }
-    }
-}
-
-impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
-    fn from_value(v: &Value) -> Result<Result<T, E>, DeError> {
-        match v {
-            Value::Object(pairs) if pairs.len() == 1 => match pairs[0].0.as_str() {
-                "Ok" => Ok(Ok(T::from_value(&pairs[0].1)?)),
-                "Err" => Ok(Err(E::from_value(&pairs[0].1)?)),
-                other => Err(DeError(format!("unknown Result variant {other:?}"))),
-            },
-            other => Err(type_error("single-key object (Result)", other)),
-        }
-    }
-}
-
-macro_rules! impl_serde_tuple {
-    ($($name:ident : $idx:tt),+ ; $len:expr) => {
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let items = de_tuple(v, $len, "tuple")?;
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    };
-}
-
-impl_serde_tuple!(A: 0, B: 1; 2);
-impl_serde_tuple!(A: 0, B: 1, C: 2; 3);
-impl_serde_tuple!(A: 0, B: 1, C: 2, D: 3; 4);
 
 #[cfg(test)]
 mod tests {
@@ -530,146 +301,30 @@ mod tests {
 
     #[test]
     fn numbers_are_exact() {
-        assert_eq!(u64::from_value(&u64::MAX.to_value()), Ok(u64::MAX));
-        assert_eq!(i64::from_value(&i64::MIN.to_value()), Ok(i64::MIN));
         assert_eq!(
             Value::from(u64::MAX),
             Value::Number(Number::PosInt(u64::MAX))
         );
-        assert!(
-            u32::from_value(&Value::from(1u64 << 40)).is_err(),
-            "range-checked"
-        );
-        assert!(
-            u64::from_value(&Value::from(-1i32)).is_err(),
-            "sign-checked"
-        );
+        assert_eq!(Value::from(u64::MAX).as_u64(), Some(u64::MAX));
+        assert_eq!(Value::from(i64::MIN).as_i64(), Some(i64::MIN));
+        assert_eq!(Value::from(-1i32), Value::Number(Number::NegInt(-1)));
+        assert_eq!(Value::from(-1i32).as_u64(), None, "sign-checked");
+        assert_eq!(Value::from(u64::MAX).as_i64(), None, "range-checked");
     }
 
     #[test]
-    fn option_treats_null_and_missing_as_none() {
-        assert_eq!(Option::<u32>::from_value(&Value::Null), Ok(None));
-        let obj = Value::Object(vec![]);
-        let field = de_field(&obj, "absent").unwrap();
-        assert_eq!(Option::<u32>::from_value(field), Ok(None));
-        assert!(
-            u32::from_value(field).is_err(),
-            "required fields still fail"
-        );
+    fn missing_keys_and_indices_read_as_null() {
+        let obj = Value::Object(vec![("a".to_string(), Value::from(1u32))]);
+        assert_eq!(obj["a"].as_u64(), Some(1));
+        assert!(obj["absent"].is_null());
+        assert!(obj[0].is_null(), "indexing a non-array");
+        assert_eq!(Value::from(Option::<f64>::None), Value::Null);
     }
 
     #[test]
-    fn vec_tuple_result_round_trip() {
-        let x: Vec<(u32, f64)> = vec![(1, 0.5), (7, -2.25)];
-        assert_eq!(Vec::<(u32, f64)>::from_value(&x.to_value()), Ok(x));
-        let ok: Result<u32, String> = Ok(3);
-        let err: Result<u32, String> = Err("boom".to_string());
-        assert_eq!(
-            Result::<u32, String>::from_value(&ok.to_value()).unwrap(),
-            ok
-        );
-        assert_eq!(
-            Result::<u32, String>::from_value(&err.to_value()).unwrap(),
-            err
-        );
-    }
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Point {
-        x: i32,
-        tag: Option<String>,
-    }
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    enum Shape {
-        Dot,
-        Circle { center: Point, r: f64 },
-        Pair(u32, u32),
-        Label(String),
-    }
-
-    #[test]
-    fn derived_struct_round_trips() {
-        for p in [
-            Point {
-                x: -3,
-                tag: Some("a\"b\\c\n".to_string()),
-            },
-            Point {
-                x: i32::MAX,
-                tag: None,
-            },
-        ] {
-            assert_eq!(Point::from_value(&p.to_value()), Ok(p));
-        }
-    }
-
-    #[test]
-    fn derived_enum_round_trips_every_shape() {
-        for s in [
-            Shape::Dot,
-            Shape::Circle {
-                center: Point { x: 0, tag: None },
-                r: 1.5,
-            },
-            Shape::Pair(4, u32::MAX),
-            Shape::Label(String::new()),
-        ] {
-            assert_eq!(Shape::from_value(&s.to_value()), Ok(s));
-        }
-    }
-
-    #[test]
-    fn derived_enum_follows_serde_tagging() {
-        assert_eq!(Shape::Dot.to_value(), Value::String("Dot".to_string()));
-        let v = Shape::Label("x".to_string()).to_value();
-        assert_eq!(
-            v["Label"].as_str(),
-            Some("x"),
-            "newtype variant wraps inner directly"
-        );
-        let v = Shape::Pair(1, 2).to_value();
-        assert_eq!(
-            v["Pair"][1].as_u64(),
-            Some(2),
-            "tuple variant wraps an array"
-        );
-    }
-
-    // Fn pointers have no canonical encoding; a throwaway impl lets the
-    // scanner regression below exercise `->` in a real field type.
-    impl Serialize for fn(u32) -> u32 {
-        fn to_value(&self) -> Value {
-            Value::Null
-        }
-    }
-
-    #[derive(Serialize)]
-    #[allow(dead_code)]
-    struct WithArrowType {
-        f: fn(u32) -> u32,
-        g: u32,
-    }
-
-    #[test]
-    fn derive_survives_return_arrows_in_field_types() {
-        // Regression: the `>` of `->` must not be miscounted as closing a
-        // generic bracket, which would silently drop later fields.
-        fn double(x: u32) -> u32 {
-            x * 2
-        }
-        let v = WithArrowType { f: double, g: 9 }.to_value();
-        assert_eq!(
-            v["g"].as_u64(),
-            Some(9),
-            "field after the arrow type must serialize"
-        );
-    }
-
-    #[test]
-    fn unknown_variant_is_an_error() {
-        assert!(Shape::from_value(&Value::String("Nope".to_string())).is_err());
-        let v = Value::Object(vec![("Nope".to_string(), Value::Null)]);
-        assert!(Shape::from_value(&v).is_err());
+    fn value_round_trips_through_the_traits() {
+        let v = Value::Array(vec![Value::from("x"), Value::from(0.5f64), Value::Null]);
+        assert_eq!(Value::from_value(&v.to_value()), Ok(v.clone()));
+        assert_eq!(Serialize::to_value(&&v), v, "through a reference");
     }
 }

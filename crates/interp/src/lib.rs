@@ -17,8 +17,8 @@
 //!   documented bottleneck).
 //!
 //! The measured gap between this executor and `gee_core::serial_optimized`
-//! is reported in EXPERIMENTS.md next to the paper's Python/Numba ratio
-//! (30–50×).
+//! is Table I's first column (`paper table1`) next to the paper's
+//! Python/Numba ratio (30–50×).
 
 pub mod program;
 pub mod value;

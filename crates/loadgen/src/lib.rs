@@ -3,7 +3,7 @@
 //! `gee bench` lives here: a multi-client load generator that speaks the
 //! ordinary wire protocol ([`gee_serve::Client`]) against a running
 //! server, plus the single-pass analytics that turn its per-request CSV
-//! into a `BENCH_*.json` trajectory point.
+//! into a `gee-bench-v1` JSON report.
 //!
 //! The crate is split along the data flow:
 //!
@@ -20,10 +20,8 @@
 //!   quantile estimates (p50/p99/p999) over those records, single pass,
 //!   bounded memory — usable on a live stream or as the
 //!   `gee bench-report` stdin→stdout CSV filter;
-//! - [`report`] — the shared `BENCH_*.json` envelope (schema
-//!   [`report::BENCH_SCHEMA`]) written by `gee bench` and by the bench
-//!   bins' `--json` flag, so every emitter lands in one comparable
-//!   format.
+//! - [`report`] — the JSON report (schema [`report::BENCH_SCHEMA`])
+//!   `gee bench --json` and `gee bench-report` write.
 //!
 //! Determinism: every random choice a client makes is drawn from RNGs
 //! seeded as pure functions of `(seed, client index)`, so a run's
@@ -38,6 +36,6 @@ pub mod stats;
 
 pub use clock::elapsed_micros;
 pub use mix::{Kind, Mix};
-pub use report::{bench_envelope, write_json, BENCH_SCHEMA};
+pub use report::{write_json, BENCH_SCHEMA};
 pub use run::{kind_rng, param_rng, run_bench, BenchConfig, BenchOutcome, Record, CSV_HEADER};
 pub use stats::{Analysis, P2Quantile, StreamingSummary, TypeSummary};

@@ -1,8 +1,5 @@
-//! The shared `BENCH_*.json` envelope.
-//!
-//! Every benchmark emitter in the workspace — `gee bench`,
-//! `gee bench-report`, and the bench bins' `--json` flag — writes the
-//! same outer shape, so trajectory points across PRs stay comparable:
+//! The `gee-bench-v1` report `gee bench --json` and `gee bench-report`
+//! write:
 //!
 //! ```json
 //! {
@@ -14,10 +11,6 @@
 //!                           "error_rate": ... }, ... }
 //! }
 //! ```
-//!
-//! Load-generation reports carry `per_type`; micro-benchmark emitters
-//! (`serve_throughput --json`, `wire_overhead --json`) put their
-//! measurements under `rows` instead, inside the same envelope.
 
 use std::io::Write;
 use std::path::Path;
@@ -29,30 +22,8 @@ use crate::stats::Analysis;
 /// Schema tag every BENCH report carries.
 pub const BENCH_SCHEMA: &str = "gee-bench-v1";
 
-/// The common outer envelope: `bench` name, schema tag, run metadata.
-/// Append payload fields (`per_type`, `rows`) with [`push_field`].
-pub fn bench_envelope(bench: &str, meta: Value) -> Value {
-    Value::Object(vec![
-        ("bench".to_string(), Value::String(bench.to_string())),
-        (
-            "schema".to_string(),
-            Value::String(BENCH_SCHEMA.to_string()),
-        ),
-        ("meta".to_string(), meta),
-    ])
-}
-
-/// Append a field to a JSON object (panics on non-objects — envelope
-/// misuse is a bug, not data).
-pub fn push_field(report: &mut Value, key: &str, field: Value) {
-    match report {
-        Value::Object(pairs) => pairs.push((key.to_string(), field)),
-        other => panic!("cannot push field {key:?} onto non-object {other:?}"),
-    }
-}
-
-/// Render an [`Analysis`] as a full BENCH report with a `per_type`
-/// payload (the `gee bench` / `gee bench-report` output shape).
+/// Render an [`Analysis`] as a report: the `bench` name, the schema
+/// tag, the run's `meta`, and one `per_type` entry per request type.
 pub fn analysis_report(bench: &str, meta: Value, analysis: &Analysis) -> Value {
     let mut per_type = Vec::new();
     for (kind, summary) in analysis.types() {
@@ -69,9 +40,12 @@ pub fn analysis_report(bench: &str, meta: Value, analysis: &Analysis) -> Value {
             ]),
         ));
     }
-    let mut report = bench_envelope(bench, meta);
-    push_field(&mut report, "per_type", Value::Object(per_type));
-    report
+    Value::Object(vec![
+        ("bench".to_string(), Value::from(bench)),
+        ("schema".to_string(), Value::from(BENCH_SCHEMA)),
+        ("meta".to_string(), meta),
+        ("per_type".to_string(), Value::Object(per_type)),
+    ])
 }
 
 /// Write a report pretty-printed (greppable by CI) with a trailing
@@ -91,12 +65,16 @@ mod tests {
 
     #[test]
     fn envelope_has_the_pinned_shape() {
-        let mut report = bench_envelope("wire_overhead", json!({"seed": 7}));
-        push_field(&mut report, "rows", json!([{"batch": 1, "us": 12.5}]));
-        assert_eq!(report["bench"].as_str(), Some("wire_overhead"));
-        assert_eq!(report["schema"].as_str(), Some(BENCH_SCHEMA));
+        let report = analysis_report("serve_loadgen", json!({"seed": 7}), &Analysis::new());
+        let Value::Object(fields) = &report else {
+            panic!("a report is an object: {report:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "schema", "meta", "per_type"]);
+        assert_eq!(report["bench"].as_str(), Some("serve_loadgen"));
+        assert_eq!(report["schema"].as_str(), Some("gee-bench-v1"));
         assert_eq!(report["meta"]["seed"].as_u64(), Some(7));
-        assert_eq!(report["rows"][0]["us"].as_f64(), Some(12.5));
+        assert_eq!(report["per_type"], json!({}));
     }
 
     #[test]

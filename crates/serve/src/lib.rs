@@ -65,8 +65,8 @@
 //! probe as a [`MetricsReport`] — the data source for `gee bench`'s
 //! server-side samples. See
 //! `examples/network_serving.rs` for the end-to-end proof and the
-//! `wire_overhead` bench binary for in-process vs duplex vs loopback-TCP
-//! throughput.
+//! benchmark's `codec.*_ns` / `transport.{duplex_rtt,tcp_rtt}_us` layer
+//! metrics for in-process vs duplex vs loopback-TCP cost.
 //!
 //! # Epoch pinning and back-pressure
 //!
@@ -126,8 +126,8 @@
 //! deterministic in block content, so crash recovery reproduces the same
 //! index structure and the same ANN answers. `tests/ann_recall.rs`
 //! measures recall@top against the exact oracle across graphs, shard
-//! counts, and `nprobe` budgets; `serve_throughput` reports exact-vs-ANN
-//! q/s **with** measured recall.
+//! counts, and `nprobe` budgets; the benchmark reports `ann_p50_us`
+//! against `similar_p50_us` **with** measured `ann_recall_at_10`.
 //!
 //! # Durability
 //!
@@ -146,9 +146,9 @@
 //! proves it on encoded wire frames. Damaged durable state is a typed
 //! [`ServeError::Corrupt`] ([`ErrorCode::Corrupt`] = 11), storage I/O
 //! failure a [`ServeError::Storage`] (12); recovery never panics. See
-//! `examples/durable_serving.rs` and the `durability_overhead` bench
-//! binary, and `gee serve --data-dir` / `gee recover` on the command
-//! line.
+//! `examples/durable_serving.rs`, the benchmark's `wal.*` /
+//! `checkpoint.*` / `recover_s` metrics, and `gee serve --data-dir` /
+//! `gee recover` on the command line.
 //!
 //! ## Group commit
 //!
@@ -167,8 +167,8 @@
 //! durability guarantee is unchanged (no batch is acknowledged before
 //! an fsync covers it — only the fsync is shared). The coalescing is
 //! observable as the `wal_fsyncs` metric staying far below
-//! the committed batch count, and the `durability_overhead` bench's
-//! group-commit phase measures the throughput win at 8 writers.
+//! the committed batch count (`tests/durability.rs` pins it at 8
+//! writers; the benchmark reports it as `wal.fsyncs_per_batch`).
 //!
 //! # Replication
 //!

@@ -6,8 +6,8 @@
 //! * [`duplex`] — an in-process pair connected by channels. Frames move
 //!   as owned `Vec<u8>`s with no copying and no framing bytes, which
 //!   makes it the zero-overhead harness for tests, property checks, and
-//!   the `wire_overhead` bench (it isolates encode/decode cost from
-//!   kernel socket cost).
+//!   the benchmark's `transport.duplex_rtt_us` (it isolates encode/decode
+//!   cost from kernel socket cost).
 //! * [`TcpTransport`] — a buffered `TcpStream` where each frame is
 //!   length-prefixed with a big-endian `u32`. `TCP_NODELAY` is set so
 //!   small request frames are not Nagle-delayed behind earlier replies.

@@ -580,6 +580,90 @@ fn sync_never_recovers_after_a_clean_close() {
     h.assert_recovers_to(4);
 }
 
+// ---- group commit ------------------------------------------------------
+
+/// `writers` threads each push `per_writer` single-update batches through
+/// one `SyncPolicy::group()` registry. Every batch must be acknowledged,
+/// and a reopened registry must equal — epoch, counters and every f64 bit
+/// — an in-memory registry fed the same batches in commit order (the
+/// epoch each acknowledgement carries is the batch's place in the WAL).
+/// Returns the fsyncs the batches cost.
+fn group_commit_run(tag: &str, writers: u32, per_writer: u32) -> u64 {
+    let h = CrashHarness::new(tag, 0, 0);
+    let durability = || Durability::Wal {
+        dir: h.dir.clone(),
+        sync: SyncPolicy::group(),
+        checkpoint_every: 64,
+    };
+    let batch = |b: u32| vec![scripted_batch(b).swap_remove(b as usize % 2)];
+    let reg = Registry::open(SHARDS, durability()).unwrap();
+    reg.register("g", &h.el, &h.labels).unwrap();
+    let fsyncs_before = reg.wal_fsyncs();
+    let start = std::sync::Barrier::new(writers as usize);
+    let mut committed: Vec<(u64, u32)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..writers)
+            .map(|w| {
+                let (reg, batch, start) = (&reg, &batch, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mine = w * per_writer..(w + 1) * per_writer;
+                    mine.map(|b| (reg.apply_updates("g", &batch(b)).unwrap().1.epoch, b))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let fsyncs = reg.wal_fsyncs() - fsyncs_before;
+    drop(reg);
+
+    committed.sort_unstable();
+    let total = u64::from(writers * per_writer);
+    let epochs: Vec<u64> = committed.iter().map(|&(epoch, _)| epoch).collect();
+    assert_eq!(epochs, (1..=total).collect::<Vec<_>>(), "one epoch each");
+    let oracle = Registry::new(SHARDS);
+    oracle.register("g", &h.el, &h.labels).unwrap();
+    for &(_, b) in &committed {
+        oracle.apply_updates("g", &batch(b)).unwrap();
+    }
+    let recovered = Registry::open(SHARDS, durability()).unwrap();
+    let bits = |reg: &Registry| -> Vec<u64> {
+        let snap = reg.snapshot("g").unwrap();
+        assert_eq!(snap.epoch, total);
+        let rows = snap.blocks().iter().flat_map(|b| b.rows().to_vec());
+        rows.map(f64::to_bits).collect()
+    };
+    assert_eq!(bits(&recovered), bits(&oracle), "every row, bit for bit");
+    let (recovered, oracle) = (
+        Engine::new(Arc::new(recovered)),
+        Engine::new(Arc::new(oracle)),
+    );
+    assert_eq!(
+        recovered.stats("g").unwrap().updates_applied,
+        oracle.stats("g").unwrap().updates_applied
+    );
+    assert_eq!(read_suite_bytes(&recovered), read_suite_bytes(&oracle));
+    fsyncs
+}
+
+#[test]
+fn group_commit_coalesces_fsyncs_across_writers_and_recovers_bit_identically() {
+    let fsyncs = group_commit_run("group8", 8, 25);
+    assert!(
+        (1..200).contains(&fsyncs),
+        "{fsyncs} fsyncs for 200 acknowledged batches: nothing was shared"
+    );
+}
+
+#[test]
+fn group_commit_with_one_writer_costs_at_most_one_fsync_per_batch() {
+    let fsyncs = group_commit_run("group1", 1, 25);
+    assert!((1..=25).contains(&fsyncs), "{fsyncs} fsyncs for 25 batches");
+}
+
 #[test]
 fn empty_data_dir_opens_empty_and_serves() {
     let h = CrashHarness::new("fresh", 1, 0);

@@ -34,7 +34,7 @@
 //! against one consistent snapshot while writes stream through
 //! [`DynamicGee`](gee_core::DynamicGee) and publish new epochs. See
 //! `examples/serving_pipeline.rs` for the end-to-end flow and the
-//! `serve-throughput` bench binary for queries/sec vs shard count.
+//! repository benchmark's `read_qps` for queries/sec.
 //!
 //! ### Copy-on-write epochs, pinning, and back-pressure
 //!
@@ -80,9 +80,9 @@
 //! deterministic in block content, so crash recovery reproduces the same
 //! index and the same answers. Approximation stays honest: recall is
 //! continuously measured against the exact scan as an oracle
-//! (`crates/serve/tests/ann_recall.rs`, plus recall columns in the
-//! `serve_throughput` bench — at 100k vertices × 8 shards, ANN `Similar`
-//! runs ~15x faster at recall ≈ 0.997), small shards and oversized
+//! (`crates/serve/tests/ann_recall.rs`, plus the benchmark's
+//! `ann_recall_at_10` beside `ann_p50_us` / `similar_p50_us` and the
+//! in-process `engine.similar_{exact,ann}_us`), small shards and oversized
 //! `top`/`k` fall back to the exact scan automatically, and
 //! [`serve::SearchPolicy::Exact`] per request (`gee query --exact`) is
 //! an escape hatch no server default can override. On the command line:
@@ -106,8 +106,8 @@
 //! [`serve::Client`] mirrors `Engine`'s methods one-for-one, so remote
 //! answers are provably `==` in-process answers —
 //! `examples/network_serving.rs` demonstrates exactly that, and the
-//! `wire_overhead` bench binary measures in-process vs duplex vs
-//! loopback-TCP throughput. On the command line: `gee serve --graph G
+//! benchmark's `codec.*_ns` and `transport.{duplex_rtt,tcp_rtt,
+//! tcp_residual}_us` price each hop. On the command line: `gee serve --graph G
 //! --listen ADDR` and `gee query --connect ADDR ...`.
 //!
 //! ### Durable serving
@@ -121,8 +121,9 @@
 //! uninterrupted process; corruption surfaces as typed
 //! [`serve::ServeError::Corrupt`], never a panic.
 //! `examples/durable_serving.rs` crashes and recovers a serving
-//! pipeline end-to-end; the `durability_overhead` bench binary measures
-//! the fsync cost and the recovery speedup a checkpoint buys. On the
+//! pipeline end-to-end; the benchmark's `wal.{append,sync}_us`,
+//! `registry.commit_wait_us`, `wal.scan_s`, `checkpoint.load_s` and
+//! `recover_s` price the fsync and what a checkpoint buys. On the
 //! command line: `gee serve --data-dir DIR ...` and `gee recover
 //! --data-dir DIR`.
 //!
@@ -178,9 +179,18 @@
 //!
 //! ### Benchmarking & observability
 //!
-//! Two halves close the loop between "the server runs" and "the server
-//! is fast, and we can prove it":
+//! Three things measure and one reports from inside, each with one job:
 //!
+//! * **The repository benchmark** — `BENCHMARK.json` + the standalone
+//!   `benchmark/` package is the gate: three seeded workloads, 13 bounded
+//!   end-to-end metrics (`read_qps`, `write_p50_us`, `recover_s`, …) and
+//!   a per-layer ledger (`ligra.*`, `gee.*`, `registry.*`, `wal.*`,
+//!   `engine.*`, `index.*`, `codec.*`, `transport.*`) timed from outside
+//!   through public functions. A speed claim is a parent/change
+//!   comparison of those names, nothing else.
+//! * **The paper's artifacts** — `crates/bench`'s one binary,
+//!   `paper table1 fig2 fig3 fig4 …`, regenerates Table I, Figs. 2–4 and
+//!   the ablations on the edge pass (see the repo-root `README.md`).
 //! * **Server metrics** — the `Metrics` request
 //!   ([`serve::MetricsReport`], `Engine::metrics` / `Client::metrics`,
 //!   `gee query --metrics true`) returns the counters every serving
@@ -191,23 +201,19 @@
 //!   counters. `Metrics` and `Stats` describe the same snapshot and the
 //!   same counters — `crates/serve/tests/metrics_consistency.rs` pins
 //!   that they never disagree, even under writer churn.
-//! * **Workload simulation** — the `gee-loadgen` crate ([`loadgen`])
+//! * **The load generator** — the `gee-loadgen` crate ([`loadgen`])
 //!   drives a live server over the ordinary wire protocol: `gee bench
 //!   --connect ADDR --mix read=90,write=5,timetravel=3,ann=2 --clients N`
 //!   runs N closed-loop (or `--qps`-paced open-loop) client threads with
 //!   a deterministic seeded request mix, interleaves server-side metrics
 //!   samples into the per-request CSV, and streams the result through
 //!   single-pass analytics ([`loadgen::Analysis`], P² quantile
-//!   estimation — no reservoir) into a `BENCH_*.json` report
+//!   estimation — no reservoir) into a `gee-bench-v1` JSON report
 //!   (`gee bench-report` re-runs the same analytics over a saved CSV).
-//!   The bench binaries (`serve_throughput`, `wire_overhead`) emit
-//!   through the same `gee-bench-v1` schema via `--json PATH`, so every
-//!   number lands in one comparable trajectory format. Determinism is
-//!   pinned by `crates/loadgen/tests/deterministic.rs`: a seeded run's
-//!   request-type sequence is exactly replayable.
+//!   Determinism is pinned by `crates/loadgen/tests/deterministic.rs`: a
+//!   seeded run's request-type sequence is exactly replayable.
 //!
-//! See `examples/` for end-to-end scenarios and `crates/bench` for the
-//! binaries that regenerate each table and figure of the paper.
+//! See `examples/` for end-to-end scenarios.
 
 pub use gee_algos as algos;
 pub use gee_community as community;

@@ -19,12 +19,31 @@ fn check_agreement(el: &EdgeList, labels: &Labels) {
         "interpreter must be bit-identical"
     );
     let g = CsrGraph::from_edge_list(el);
-    let serial = with_threads(1, || {
-        gee_core::ligra::embed(&g, labels, AtomicsMode::Atomic)
-    });
-    reference.assert_close(&serial, 1e-9);
+    let ligra = |threads, mode| with_threads(threads, || gee_core::ligra::embed(&g, labels, mode));
+    // The paper's invariant at any thread count: fewer than the cores,
+    // more than the cores, more than some graphs here have vertices.
+    for threads in [1, 2, 3, 8, 17] {
+        reference.assert_close(&ligra(threads, AtomicsMode::Atomic), 1e-9);
+    }
     let parallel = gee_core::ligra::embed(&g, labels, AtomicsMode::Atomic);
     reference.assert_close(&parallel, 1e-9);
+    // With one thread nothing races, so "atomics off" loses nothing.
+    assert_eq!(
+        ligra(1, AtomicsMode::Racy).as_slice(),
+        ligra(1, AtomicsMode::Atomic).as_slice(),
+        "racy mode on one thread must be bit-identical to atomic"
+    );
+}
+
+#[test]
+fn agree_on_a_graph_with_fewer_vertices_than_threads() {
+    let el = gee_gen::erdos_renyi_gnm(12, 40, 29);
+    let spec = LabelSpec {
+        num_classes: 3,
+        labeled_fraction: 0.5,
+    };
+    let labels = Labels::from_options_with_k(&gee_gen::random_labels(12, spec, 31), 3);
+    check_agreement(&el, &labels);
 }
 
 #[test]
