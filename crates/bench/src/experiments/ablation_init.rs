@@ -7,7 +7,10 @@
 //! * projection build (O(n) in our sparse form; the paper's dense form is
 //!   O(nK) — both are reported),
 //! * the `Z ∈ R^{n×K}` zero-initialization (O(nK) — where the asymptotic
-//!   term actually lives once `W` is sparse),
+//!   term actually lives once `W` is sparse). The "Z init" column is
+//!   `AtomicF64Vec::zeros`: zero pages from the allocator, first-touched
+//!   in parallel by the pool's workers (on huge pages from 32 MiB up), so
+//!   it is the paper's *parallelized* initialization that is timed,
 //! * the edge pass (O(s)).
 //!
 //! ```text

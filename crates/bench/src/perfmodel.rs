@@ -20,9 +20,10 @@ use rayon::prelude::*;
 ///
 /// Per edge `(u, v, w)` the dense-forward traversal touches:
 /// * the CSR target entry (4 B) and weight (8 B if stored);
-/// * labels `Y(u)`, `Y(v)` (4 B each) and coefficients `W(u)`, `W(v)`
-///   (8 B each) — `u`'s metadata is cache-resident during its edge list
-///   (§III), so only `v`'s side (12 B) counts as traffic;
+/// * labels `Y(u)`, `Y(v)` (4 B each) — `u`'s is cache-resident during
+///   its edge list (§III), so only `Y(v)` (4 B) counts as traffic; the
+///   coefficients `W(u)`, `W(v)` are hits in the K-entry table of class
+///   reciprocals the functor indexes by those labels, charged at 0;
 /// * the `Z(u, Y(v))` accumulator: resident while `u`'s list drains
 ///   (charged at 0) — and `Z(v, Y(u))`: a 16 B read-modify-write that
 ///   "is likely to miss" (a 64 B line fill + eventual write-back; we
@@ -30,7 +31,7 @@ use rayon::prelude::*;
 ///   bound being 128 B).
 pub fn gee_bytes_per_edge(weighted: bool) -> f64 {
     let csr = 4.0 + if weighted { 8.0 } else { 0.0 };
-    let remote_metadata = 4.0 + 8.0; // Y(v) + W(v)
+    let remote_metadata = 4.0; // Y(v); W(v) is a table hit
     let remote_z = 16.0; // read + write of the missing accumulator
     csr + remote_metadata + remote_z
 }
@@ -76,8 +77,8 @@ mod tests {
     #[test]
     fn bytes_per_edge_ordering() {
         assert!(gee_bytes_per_edge(true) > gee_bytes_per_edge(false));
-        assert_eq!(gee_bytes_per_edge(false), 32.0);
-        assert_eq!(gee_bytes_per_edge(true), 40.0);
+        assert_eq!(gee_bytes_per_edge(false), 24.0);
+        assert_eq!(gee_bytes_per_edge(true), 32.0);
     }
 
     #[test]

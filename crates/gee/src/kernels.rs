@@ -30,12 +30,19 @@ use crate::projection::Projection;
 /// destinations; each task owns its `Z` row exclusively.
 ///
 /// Panics (debug builds) if the graph is visibly asymmetric; correctness
-/// for directed inputs requires the transpose trick instead.
+/// for directed inputs requires the transpose trick instead. The check is
+/// sampled: CSR neighbor lists are in scatter order, not sorted, so a
+/// mirror is found by scanning a list, and only up to 1024 evenly spaced
+/// stored edges are looked up (every edge of a graph that small).
 pub fn embed_pull(g: &CsrGraph, labels: &Labels) -> Embedding {
     assert_eq!(
         g.num_vertices(),
         labels.len(),
         "labels must cover every vertex"
+    );
+    debug_assert!(
+        looks_symmetric(g),
+        "embed_pull needs a symmetric graph: a stored edge has no mirror of equal weight"
     );
     let n = g.num_vertices();
     let k = labels.num_classes();
@@ -61,6 +68,20 @@ pub fn embed_pull(g: &CsrGraph, labels: &Labels) -> Embedding {
         }
     });
     Embedding::from_vec(n, k, z)
+}
+
+/// Whether each of up to `SAMPLES` evenly spaced stored edges `(d, s, w)`
+/// has a mirror `(s, d, w)`.
+fn looks_symmetric(g: &CsrGraph) -> bool {
+    const SAMPLES: usize = 1024;
+    let (m, offsets) = (g.num_edges(), g.offsets());
+    (0..m).step_by((m / SAMPLES).max(1)).all(|e| {
+        let d = offsets.partition_point(|&o| o <= e) - 1;
+        let s = g.targets()[e];
+        let w = g.weights().map_or(1.0, |ws| ws[e]);
+        let mut back = g.neighbors(s).iter().enumerate();
+        back.any(|(i, &t)| t as usize == d && g.weight_at(s, i) == w)
+    })
 }
 
 /// Propagation-blocking GEE: bin contributions by destination range, then
@@ -173,6 +194,36 @@ mod tests {
         let g = CsrGraph::from_edge_list(&el);
         embed_pull(&g, &labels).assert_close(&reference, 1e-9);
         reference.assert_close(&embed_pull(&g, &labels), 1e-9);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "needs a symmetric graph")]
+    fn pull_refuses_a_directed_path() {
+        // 0 -> 1 -> 2: no edge has its mirror.
+        let el = EdgeList::new(
+            3,
+            vec![gee_graph::Edge::unit(0, 1), gee_graph::Edge::unit(1, 2)],
+        )
+        .unwrap();
+        let labels = Labels::from_options(&[Some(0), Some(1), None]);
+        embed_pull(&CsrGraph::from_edge_list(&el), &labels);
+    }
+
+    #[test]
+    fn symmetry_check_wants_the_mirror_weight_too() {
+        use gee_graph::Edge;
+        let csr = |edges| CsrGraph::from_edge_list(&EdgeList::new(2, edges).unwrap());
+        assert!(looks_symmetric(&csr(vec![
+            Edge::new(0, 1, 2.0),
+            Edge::new(1, 0, 2.0)
+        ])));
+        assert!(!looks_symmetric(&csr(vec![
+            Edge::new(0, 1, 2.0),
+            Edge::new(1, 0, 3.0)
+        ])));
+        assert!(looks_symmetric(&csr(vec![Edge::unit(1, 1)])));
+        assert!(looks_symmetric(&csr(vec![])));
     }
 
     #[test]

@@ -98,6 +98,16 @@ impl Labels {
         &self.counts
     }
 
+    /// `1 / |class c|` per class, `0.0` for a class nobody carries: the
+    /// non-zero of every row of the projection matrix `W` whose vertex is
+    /// labeled `c` (Algorithm 1 lines 2–6).
+    pub fn inv_class_counts(&self) -> Vec<f64> {
+        self.counts
+            .iter()
+            .map(|&c| if c > 0 { 1.0 / c as f64 } else { 0.0 })
+            .collect()
+    }
+
     /// Number of labeled vertices.
     pub fn num_labeled(&self) -> usize {
         self.counts.iter().sum::<u64>() as usize

@@ -2,8 +2,8 @@
 //!
 //! The edge loop becomes an `edgeMap` over the full frontier with the
 //! `updateEmb` functor; the two `Z` accumulations are lock-free atomic
-//! `writeAdd`s. Traversal is *dense-forward*: one task per source vertex
-//! whose out-edge list is processed sequentially, so
+//! `writeAdd`s. Traversal is *dense-forward*: one task per edge-balanced
+//! range of source vertices, each out-edge list processed sequentially, so
 //!
 //! * successive updates through `Z(u, ·)` hit the processor cache (§III),
 //! * updates `Z(u, Y(v1))`, `Z(u, Y(v2))` from one source never conflict —
@@ -14,19 +14,26 @@
 //! The `AtomicsMode::Racy` path reproduces the paper's "atomics off" run:
 //! same schedule, relaxed read+write instead of CAS.
 
-use gee_graph::{CsrGraph, VertexId, Weight};
+use gee_graph::{edge_balanced_ranges, CompressedCsr, CsrGraph, VertexId, Weight};
 use gee_ligra::{
     edge_map, AtomicF64Vec, AtomicsMode, EdgeMapFn, EdgeMapOptions, TraversalKind, VertexSubset,
 };
+use rayon::prelude::*;
 
 use crate::embedding::Embedding;
 use crate::labels::Labels;
-use crate::projection::Projection;
 
 /// The `updateEmb` functor of Algorithm 2.
+///
+/// `W` has one non-zero per row and it depends only on the row's class:
+/// `W(v, Y(v)) = 1 / |class Y(v)|`. So the functor keeps the `K`
+/// reciprocals ([`Labels::inv_class_counts`], resident in L1) and indexes
+/// them by the label it has already loaded, instead of gathering a
+/// per-vertex coefficient (a second random 8 B read per endpoint, and an
+/// O(n) array to build before every call). Same `f64`, same bits.
 struct UpdateEmb<'a> {
     z: &'a AtomicF64Vec,
-    coeff: &'a [f64],
+    inv_count: &'a [f64],
     y: &'a [i32],
     k: usize,
     mode: AtomicsMode,
@@ -43,7 +50,7 @@ impl UpdateEmb<'_> {
             self.z.add(
                 self.mode,
                 u as usize * self.k + yv as usize,
-                self.coeff[v as usize] * w,
+                self.inv_count[yv as usize] * w,
             );
         }
         let yu = self.y[u as usize];
@@ -51,7 +58,7 @@ impl UpdateEmb<'_> {
             self.z.add(
                 self.mode,
                 v as usize * self.k + yu as usize,
-                self.coeff[u as usize] * w,
+                self.inv_count[yu as usize] * w,
             );
         }
     }
@@ -68,73 +75,66 @@ impl EdgeMapFn for UpdateEmb<'_> {
     }
 }
 
-/// GEE-Ligra (Algorithm 2): parallel projection init + edge map with
-/// atomic `writeAdd`. Runs on the ambient rayon pool — wrap in
-/// [`gee_ligra::with_threads`] to control the worker count (the paper's
-/// Fig. 3 sweep).
-pub fn embed(g: &CsrGraph, labels: &Labels, mode: AtomicsMode) -> Embedding {
-    assert_eq!(
-        g.num_vertices(),
-        labels.len(),
-        "labels must cover every vertex"
-    );
-    let n = g.num_vertices();
+/// Algorithm 2 around a traversal: the class reciprocals (lines 2–6),
+/// a zeroed `Z`, `traverse` applying the functor to every edge, and `Z`
+/// handed over as the embedding.
+fn embed_with(
+    n: usize,
+    labels: &Labels,
+    mode: AtomicsMode,
+    traverse: impl FnOnce(&UpdateEmb<'_>),
+) -> Embedding {
+    assert_eq!(n, labels.len(), "labels must cover every vertex");
     let k = labels.num_classes();
-    // Algorithm 2 lines 2–6: ParallelFor over classes / vertices.
-    let proj = Projection::build_parallel(labels);
-    // Line 7: EdgeMap(updateEmb, Z, W, Y, frontier = n).
+    let inv_count = labels.inv_class_counts();
     let z = AtomicF64Vec::zeros(n * k);
-    let functor = UpdateEmb {
+    traverse(&UpdateEmb {
         z: &z,
-        coeff: proj.as_slice(),
+        inv_count: &inv_count,
         y: labels.raw_slice(),
         k,
         mode,
-    };
-    let frontier = VertexSubset::full(n);
-    edge_map(
-        g,
-        &frontier,
-        &functor,
-        EdgeMapOptions {
-            kind: TraversalKind::DenseForward,
-            no_output: true,
-        },
-    );
+    });
     Embedding::from_vec(n, k, z.into_vec())
 }
 
-/// GEE-Ligra over a byte-compressed graph ([`gee_graph::CompressedCsr`]):
-/// the same dense-forward edge-parallel kernel, decoding each source's
-/// neighbor list on the fly. Trades decode ALU work for memory bandwidth —
-/// the direction §IV's memory-bound analysis points at (CPMA, ref. 18 of the paper); the
-/// `ablation-compression` bench quantifies it.
-pub fn embed_compressed(
-    g: &gee_graph::CompressedCsr,
-    labels: &Labels,
-    mode: AtomicsMode,
-) -> Embedding {
-    use rayon::prelude::*;
-    assert_eq!(
-        g.num_vertices(),
-        labels.len(),
-        "labels must cover every vertex"
-    );
+/// GEE-Ligra (Algorithm 2): an edge map with atomic `writeAdd` over the
+/// full frontier. Runs on the ambient rayon pool — wrap in
+/// [`gee_ligra::with_threads`] to control the worker count (the paper's
+/// Fig. 3 sweep).
+pub fn embed(g: &CsrGraph, labels: &Labels, mode: AtomicsMode) -> Embedding {
     let n = g.num_vertices();
-    let k = labels.num_classes();
-    let proj = Projection::build_parallel(labels);
-    let z = AtomicF64Vec::zeros(n * k);
-    let functor = UpdateEmb {
-        z: &z,
-        coeff: proj.as_slice(),
-        y: labels.raw_slice(),
-        k,
-        mode,
-    };
-    (0..n as u32).into_par_iter().for_each(|u| {
-        g.for_each_out(u, |v, w| functor.apply(u, v, w));
-    });
-    Embedding::from_vec(n, k, z.into_vec())
+    embed_with(n, labels, mode, |functor| {
+        // Line 7: EdgeMap(updateEmb, Z, W, Y, frontier = n).
+        edge_map(
+            g,
+            &VertexSubset::full(n),
+            functor,
+            EdgeMapOptions {
+                kind: TraversalKind::DenseForward,
+                no_output: true,
+            },
+        );
+    })
+}
+
+/// GEE-Ligra over a byte-compressed graph ([`gee_graph::CompressedCsr`]):
+/// the same dense-forward edge-parallel kernel over the same
+/// edge-balanced source ranges, decoding each source's neighbor list on
+/// the fly. Trades decode ALU work for memory bandwidth — the direction
+/// §IV's memory-bound analysis points at (CPMA, ref. 18 of the paper); the
+/// `ablation-compression` bench quantifies it.
+pub fn embed_compressed(g: &CompressedCsr, labels: &Labels, mode: AtomicsMode) -> Embedding {
+    embed_with(g.num_vertices(), labels, mode, |functor| {
+        edge_balanced_ranges(g.edge_offsets(), rayon::current_num_threads())
+            .into_par_iter()
+            .for_each(|sources| {
+                for u in sources {
+                    let u = u as VertexId;
+                    g.for_each_out(u, |v, w| functor.apply(u, v, w));
+                }
+            });
+    })
 }
 
 #[cfg(test)]
@@ -245,6 +245,54 @@ mod tests {
         let c = gee_graph::CompressedCsr::from_csr(&g);
         let z = embed_compressed(&c, &labels, AtomicsMode::Atomic);
         reference.assert_close(&z, 1e-9);
+    }
+
+    /// On a skewed graph the compressed kernel's source ranges are cut
+    /// by edges, not vertices, and it still computes the embedding at
+    /// any worker count.
+    #[test]
+    fn compressed_ranges_are_edge_balanced_on_rmat() {
+        let el = gee_gen::rmat(10, 40_000, gee_gen::RmatParams::default(), 9);
+        let n = el.num_vertices();
+        let labels = Labels::from_options_with_k(
+            &gee_gen::random_labels(
+                n,
+                LabelSpec {
+                    num_classes: 6,
+                    labeled_fraction: 0.3,
+                },
+                5,
+            ),
+            6,
+        );
+        let c = CompressedCsr::from_csr(&CsrGraph::from_edge_list(&el));
+        let (m, offsets) = (c.num_edges(), c.edge_offsets());
+        let max_degree = (0..n as u32).map(|v| c.out_degree(v)).max().unwrap();
+        // The vertex split this replaces: the first half owns the hubs.
+        assert!(
+            offsets[n / 2] > m * 6 / 10,
+            "not skewed: {}",
+            offsets[n / 2]
+        );
+        for parts in [2, 3, 8, 17] {
+            let ranges = edge_balanced_ranges(offsets, parts);
+            let largest = ranges
+                .iter()
+                .map(|r| offsets[r.end] - offsets[r.start])
+                .max()
+                .unwrap();
+            assert!(
+                largest <= m / parts + max_degree,
+                "{parts} parts: {largest}"
+            );
+        }
+        let reference = serial_reference::embed(&el, &labels);
+        for threads in [1, 2, 3, 17] {
+            let z = gee_ligra::with_threads(threads, || {
+                embed_compressed(&c, &labels, AtomicsMode::Atomic)
+            });
+            reference.assert_close(&z, 1e-9);
+        }
     }
 
     proptest! {

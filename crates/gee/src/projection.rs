@@ -24,11 +24,7 @@ pub struct Projection {
 impl Projection {
     /// Serial construction (the "Numba analog" path).
     pub fn build_serial(labels: &Labels) -> Self {
-        let inv: Vec<f64> = labels
-            .class_counts()
-            .iter()
-            .map(|&c| if c > 0 { 1.0 / c as f64 } else { 0.0 })
-            .collect();
+        let inv = labels.inv_class_counts();
         let coeff = labels
             .raw_slice()
             .iter()
@@ -39,11 +35,8 @@ impl Projection {
 
     /// Parallel construction (Algorithm 2 lines 3–6).
     pub fn build_parallel(labels: &Labels) -> Self {
-        let inv: Vec<f64> = labels
-            .class_counts()
-            .par_iter()
-            .map(|&c| if c > 0 { 1.0 / c as f64 } else { 0.0 })
-            .collect();
+        // The K reciprocals are too few to be worth a parallel region.
+        let inv = labels.inv_class_counts();
         let coeff = labels
             .raw_slice()
             .par_iter()
@@ -80,6 +73,32 @@ impl Projection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// What lets the edge-parallel kernel drop the per-vertex array:
+        /// the coefficient of a labeled vertex is, bit for bit, the
+        /// reciprocal of its class's size — empty classes and K = 0
+        /// included.
+        #[test]
+        fn coeff_is_the_class_reciprocal(
+            y in proptest::collection::vec(0u32..9, 0..80),
+            spare_classes in 0usize..3,
+        ) {
+            // 0 encodes "unlabeled"; some classes in 0..k stay empty.
+            let y: Vec<Option<u32>> = y.into_iter().map(|c| c.checked_sub(1)).collect();
+            let k = y.iter().flatten().max().map_or(0, |&c| c as usize + 1) + spare_classes;
+            let labels = Labels::from_options_with_k(&y, k);
+            let inv_count = labels.inv_class_counts();
+            prop_assert_eq!(inv_count.len(), k);
+            for proj in [Projection::build_serial(&labels), Projection::build_parallel(&labels)] {
+                for (v, &c) in labels.raw_slice().iter().enumerate() {
+                    let table = if c >= 0 { inv_count[c as usize] } else { 0.0 };
+                    prop_assert_eq!(table.to_bits(), proj.coeff(v as u32).to_bits());
+                }
+            }
+        }
+    }
 
     fn labels() -> Labels {
         Labels::from_options(&[Some(0), Some(0), Some(1), None])

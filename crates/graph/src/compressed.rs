@@ -150,6 +150,13 @@ impl CompressedCsr {
         self.edge_offsets[v + 1] - self.edge_offsets[v]
     }
 
+    /// Edge-rank offsets (`n+1` entries, the prefix sums of the
+    /// out-degrees) — what [`crate::edge_balanced_ranges`] cuts by.
+    #[inline]
+    pub fn edge_offsets(&self) -> &[usize] {
+        &self.edge_offsets
+    }
+
     /// Bytes used by the adjacency encoding.
     pub fn adjacency_bytes(&self) -> usize {
         self.data.len()

@@ -12,6 +12,8 @@
 //! * [`io`] — plain edge-list text, SNAP-style text, and a compact binary
 //!   format.
 //! * [`transform`] — symmetrization, self-loop removal, vertex compaction.
+//! * [`partition`] — contiguous source ranges of equal edge count, the
+//!   unit of work of the edge-parallel traversals.
 //! * [`stats`] — degree statistics used by the benchmark harness to describe
 //!   workloads the way the paper's Table I does.
 //!
@@ -25,6 +27,7 @@ pub mod csr;
 pub mod edge_list;
 pub mod io;
 pub mod ordering;
+pub mod partition;
 pub mod stats;
 pub mod transform;
 
@@ -32,6 +35,7 @@ pub use builder::GraphBuilder;
 pub use compressed::CompressedCsr;
 pub use csr::CsrGraph;
 pub use edge_list::{Edge, EdgeList};
+pub use partition::edge_balanced_ranges;
 
 /// Vertex identifier. 32 bits: the paper's graphs top out at 65M vertices.
 pub type VertexId = u32;

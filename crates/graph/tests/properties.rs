@@ -1,6 +1,6 @@
 //! Property-based tests of the graph substrate's core invariants.
 
-use gee_graph::{transform, CsrGraph, Edge, EdgeList};
+use gee_graph::{edge_balanced_ranges, transform, CsrGraph, Edge, EdgeList};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary small graph as (n, edge list).
@@ -18,7 +18,49 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Strategy: a degree sequence with the shapes the range helper must
+/// survive — no vertices, no edges, one hub owning every edge, ordinary.
+fn arb_degrees() -> impl Strategy<Value = Vec<usize>> {
+    let degrees = proptest::collection::vec(0usize..30, 0..40);
+    (0usize..4, 0usize..40, degrees).prop_map(|(shape, hub, mut degrees)| {
+        let m: usize = degrees.iter().sum();
+        if shape < 2 {
+            degrees.iter_mut().for_each(|d| *d = 0);
+        }
+        if shape == 1 && !degrees.is_empty() {
+            let hub = hub % degrees.len();
+            degrees[hub] = m;
+        }
+        degrees
+    })
+}
+
 proptest! {
+    /// The edge-balanced ranges are non-empty, ordered and contiguous,
+    /// cover `0..n` exactly once with at most `parts` pieces (more parts
+    /// than vertices included), and none holds more than
+    /// `⌈m / parts⌉ + max degree` edges.
+    #[test]
+    fn edge_balanced_ranges_cover_and_balance(degrees in arb_degrees(), parts in 1usize..70) {
+        let n = degrees.len();
+        let mut offsets = vec![0usize];
+        for d in &degrees {
+            offsets.push(offsets.last().unwrap() + d);
+        }
+        let m = offsets[n];
+        let max_degree = degrees.iter().copied().max().unwrap_or(0);
+        let ranges = edge_balanced_ranges(&offsets, parts);
+        prop_assert!(ranges.len() <= parts);
+        let mut next = 0;
+        for r in &ranges {
+            prop_assert_eq!(r.start, next);
+            prop_assert!(r.end > r.start);
+            next = r.end;
+            prop_assert!(offsets[r.end] - offsets[r.start] <= m.div_ceil(parts) + max_degree);
+        }
+        prop_assert_eq!(next, n);
+    }
+
     /// CSR preserves the edge multiset exactly.
     #[test]
     fn csr_preserves_edge_multiset(el in arb_graph()) {

@@ -5,8 +5,10 @@
 //! * **Dense (pull)**: one task per *destination*; iterates in-edges from
 //!   the transpose, uses the non-atomic `update` because only one task
 //!   writes per destination, and early-exits when `cond(d)` turns false.
-//! * **Dense-forward (push over everything)**: one task per *source* whose
-//!   out-edge list is processed sequentially, atomic updates. This is
+//! * **Dense-forward (push over everything)**: one task per contiguous
+//!   range of *sources* — the ranges cut by edge count, not vertex count —
+//!   each source's out-edge list processed sequentially, atomic updates.
+//!   This is
 //!   `edgeMapDense` in the write-direction the GEE paper describes in §III:
 //!   "schedules one worker for the edge list of each node to process all
 //!   edges sourced from that node sequentially", keeping `Z(u, ·)` and
@@ -18,7 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use gee_graph::{CsrGraph, VertexId, Weight};
+use gee_graph::{edge_balanced_ranges, CsrGraph, VertexId, Weight};
 use rayon::prelude::*;
 
 use crate::prim::pack_indices;
@@ -131,10 +133,11 @@ pub fn edge_map_sparse(
     subset_from_atomic_flags(n, &out_flags)
 }
 
-/// Dense-forward traversal: parallel over **all** sources in the frontier
-/// (for GEE the frontier is the full vertex set), each source's out-edge
-/// list walked sequentially so updates to `Z(u, ·)` never self-conflict and
-/// stay cache-resident (§III of the paper). Uses `update_atomic` since
+/// Dense-forward traversal: parallel over contiguous ranges of sources
+/// holding equal shares of the *edges* (splitting by vertex hands one
+/// worker the hubs of a skewed graph), each source's out-edge list walked
+/// sequentially so updates to `Z(u, ·)` never self-conflict and stay
+/// cache-resident (§III of the paper). Uses `update_atomic` since
 /// distinct sources can still write the same destination row.
 pub fn edge_map_dense_forward(
     g: &CsrGraph,
@@ -144,39 +147,32 @@ pub fn edge_map_dense_forward(
 ) -> VertexSubset {
     let n = g.num_vertices();
     let full = frontier.len() == n;
-    let run = |u: u32, out: Option<&[AtomicBool]>| {
-        for (i, &v) in g.neighbors(u).iter().enumerate() {
-            if f.cond(v) {
-                let fresh = f.update_atomic(u, v, g.weight_at(u, i));
-                if let (Some(flags), true) = (out, fresh) {
-                    flags[v as usize].store(true, Ordering::Relaxed);
-                }
+    let out_flags: Option<Vec<AtomicBool>> =
+        (!no_output).then(|| (0..n).map(|_| AtomicBool::new(false)).collect());
+    let visit = |u: VertexId, v: VertexId, w: Weight| {
+        if f.cond(v) && f.update_atomic(u, v, w) {
+            if let Some(flags) = &out_flags {
+                flags[v as usize].store(true, Ordering::Relaxed);
             }
         }
     };
-    if no_output {
-        if full {
-            (0..n as u32).into_par_iter().for_each(|u| run(u, None));
-        } else {
-            (0..n as u32)
-                .into_par_iter()
-                .filter(|&u| frontier.contains(u))
-                .for_each(|u| run(u, None));
-        }
-        return VertexSubset::empty(n);
+    edge_balanced_ranges(g.offsets(), rayon::current_num_threads())
+        .into_par_iter()
+        .for_each(|sources| {
+            let sources = sources.map(|u| u as VertexId);
+            for u in sources.filter(|&u| full || frontier.contains(u)) {
+                let targets = g.neighbors(u).iter();
+                // Weighted or not is asked once per source, not per edge.
+                match g.edge_weights(u) {
+                    Some(ws) => targets.zip(ws).for_each(|(&v, &w)| visit(u, v, w)),
+                    None => targets.for_each(|&v| visit(u, v, 1.0)),
+                }
+            }
+        });
+    match out_flags {
+        Some(flags) => subset_from_atomic_flags(n, &flags),
+        None => VertexSubset::empty(n),
     }
-    let out_flags: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    if full {
-        (0..n as u32)
-            .into_par_iter()
-            .for_each(|u| run(u, Some(&out_flags)));
-    } else {
-        (0..n as u32)
-            .into_par_iter()
-            .filter(|&u| frontier.contains(u))
-            .for_each(|u| run(u, Some(&out_flags)));
-    }
-    subset_from_atomic_flags(n, &out_flags)
 }
 
 /// Pull-style dense traversal over the transpose: parallel over
@@ -315,6 +311,57 @@ mod tests {
         let mut ids = next.to_ids();
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 3]);
+    }
+
+    /// The ranged runner on a skewed, weighted graph: every out-edge of
+    /// the frontier exactly once with its own weight, at thread counts
+    /// below, at and above the number of ranges worth cutting.
+    #[test]
+    fn dense_forward_visits_each_frontier_edge_once_at_any_thread_count() {
+        struct CountAndSum(CountVisits, crate::atomics::AtomicF64Vec);
+        impl EdgeMapFn for CountAndSum {
+            fn update(&self, s: u32, d: u32, w: f64) -> bool {
+                self.1.fetch_add(d as usize, w);
+                self.0.update(s, d, w)
+            }
+            fn update_atomic(&self, s: u32, d: u32, w: f64) -> bool {
+                self.update(s, d, w)
+            }
+        }
+        let base = gee_gen::rmat(8, 4000, gee_gen::RmatParams::default(), 3);
+        let edges: Vec<Edge> = base
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| Edge::new(e.u, e.v, 1.0 + (i % 7) as f64))
+            .collect();
+        let n = base.num_vertices();
+        let g = CsrGraph::from_edge_list(&EdgeList::new(n, edges.clone()).unwrap());
+        let evens: Vec<u32> = (0..n as u32).step_by(2).collect();
+        for frontier in [VertexSubset::full(n), VertexSubset::from_ids(n, evens)] {
+            let mut count = vec![0u32; n];
+            let mut sum = vec![0.0f64; n];
+            for e in edges.iter().filter(|e| frontier.contains(e.u)) {
+                count[e.v as usize] += 1;
+                sum[e.v as usize] += e.w;
+            }
+            for threads in [1, 2, 3, 8, 300] {
+                let f = CountAndSum(CountVisits::new(n), crate::atomics::AtomicF64Vec::zeros(n));
+                let next = crate::with_threads(threads, || {
+                    edge_map_dense_forward(&g, &frontier, &f, false)
+                });
+                for v in 0..n {
+                    assert_eq!(
+                        f.0.count(v as u32),
+                        count[v],
+                        "vertex {v}, {threads} threads"
+                    );
+                    // Small integers: the sum is exact in any order.
+                    assert_eq!(f.1.load(v), sum[v], "vertex {v}, {threads} threads");
+                    assert_eq!(next.contains(v as u32), count[v] > 0);
+                }
+            }
+        }
     }
 
     #[test]

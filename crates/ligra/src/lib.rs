@@ -12,8 +12,9 @@
 //! * [`vertex_subset`] — dense-bitmap / sparse-list frontier with the
 //!   standard representation-switch threshold.
 //! * [`edge_map()`] — push-style sparse traversal, pull-style dense traversal,
-//!   and the *dense-forward* traversal GEE uses (one task per source vertex,
-//!   its edge list processed sequentially — §III of the paper).
+//!   and the *dense-forward* traversal GEE uses (one task per range of
+//!   sources holding an equal share of the edges, each source's edge list
+//!   processed sequentially — §III of the paper).
 //! * [`vertex_map()`] — parallel map/filter over a frontier.
 //! * [`atomics`] — `writeAdd` (f64 CAS loop), `write_min`, `cas`, and the
 //!   deliberately racy non-atomic mode used for the paper's "atomics off"

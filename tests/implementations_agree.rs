@@ -25,6 +25,13 @@ fn check_agreement(el: &EdgeList, labels: &Labels) {
     for threads in [1, 2, 3, 8, 17] {
         reference.assert_close(&ligra(threads, AtomicsMode::Atomic), 1e-9);
     }
+    // One worker walks the sources in CSR order, so the sums are those of
+    // the plain loop over the CSR-ordered edge list, bit for bit.
+    assert_eq!(
+        ligra(1, AtomicsMode::Atomic).as_slice(),
+        gee_core::serial_optimized::embed(&g.to_edge_list(), labels).as_slice(),
+        "ligra on one thread must be bit-identical to the serial loop in CSR order"
+    );
     let parallel = gee_core::ligra::embed(&g, labels, AtomicsMode::Atomic);
     reference.assert_close(&parallel, 1e-9);
     // With one thread nothing races, so "atomics off" loses nothing.
