@@ -3,6 +3,8 @@
 //! in O(1)/O(deg). This bench measures update throughput and finds the
 //! batch size at which a full O(s) recompute would be cheaper — the
 //! operating envelope for streaming deployments of the paper's kernel.
+//! The writer is checked against a recompute at 1e-9 after the bulk
+//! init and again after every update batch has run.
 //!
 //! ```text
 //! cargo run --release -p gee-bench --bin paper -- ablation-dynamic --scale 64
@@ -63,6 +65,8 @@ pub fn run(args: &Args) -> Report {
         dg.insert_edge(u, v, 3.0);
         assert!(dg.remove_edge(u, v, 3.0));
     });
+    // The updated writer still equals a recompute of what it now holds.
+    serial_optimized::embed(&dg.edge_list(), &dg.labels()).assert_close(&dg.embedding(), 1e-9);
 
     for (what, seconds) in [
         ("bulk init (O(s))", init_seconds),

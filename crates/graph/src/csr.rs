@@ -5,11 +5,11 @@
 //! with an optional parallel weight array. The transpose (in-edges) can be
 //! materialized once and cached for pull-style (`edgeMapDense`) traversal.
 //!
-//! Construction is parallel (rayon): degree counting with atomic counters,
-//! a prefix sum over degrees, and a parallel scatter — the same three-phase
-//! build Ligra's `graphIO` performs.
-
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+//! Construction is parallel (rayon) and deterministic: a stable, chunked
+//! counting sort ([`rows_in_edge_order`]) — per-chunk degree counts, a
+//! prefix sum over degrees, and a per-chunk scatter — the three-phase
+//! build Ligra's `graphIO` performs, minus the atomics that made its
+//! neighbor order depend on thread timing.
 
 use rayon::prelude::*;
 
@@ -40,54 +40,16 @@ impl CsrGraph {
     }
 
     /// Build from raw parts. `store_weights = false` drops the weight array
-    /// and treats every edge as unit weight.
+    /// and treats every edge as unit weight. Every vertex's out-edges keep
+    /// their edge-list order, at any thread count.
     pub fn build(num_vertices: usize, edges: &[Edge], store_weights: bool) -> Self {
-        let n = num_vertices;
-        // Phase 1: parallel degree count.
-        let degrees: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        edges.par_iter().for_each(|e| {
-            degrees[e.u as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        // Phase 2: exclusive prefix sum (serial: n is small relative to s and
-        // this is bandwidth-bound anyway; the engine crate has a parallel scan
-        // for frontier packing where it matters).
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degrees {
-            acc += d.load(Ordering::Relaxed) as usize;
-            offsets.push(acc);
-        }
-        let s = acc;
-        // Phase 3: parallel scatter using per-vertex cursors.
-        let cursors: Vec<AtomicUsize> = offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
-        let mut targets = vec![0 as VertexId; s];
-        let mut weights = if store_weights {
-            vec![0.0; s]
-        } else {
-            Vec::new()
-        };
-        {
-            let tgt_ptr = SendPtr(targets.as_mut_ptr());
-            let w_ptr = SendPtr(weights.as_mut_ptr());
-            edges.par_iter().for_each(|e| {
-                let slot = cursors[e.u as usize].fetch_add(1, Ordering::Relaxed);
-                // SAFETY: `slot` values are unique per edge — each comes from a
-                // distinct fetch_add on the source vertex cursor, and cursors
-                // partition `0..s` by the prefix sum. No two writes alias.
-                unsafe {
-                    *tgt_ptr.get().add(slot) = e.v;
-                    if store_weights {
-                        *w_ptr.get().add(slot) = e.w;
-                    }
-                }
-            });
-        }
+        let (offsets, targets, weights) =
+            rows_in_edge_order(num_vertices, edges, false, store_weights, 0);
         CsrGraph {
-            num_vertices: n,
+            num_vertices,
             offsets,
             targets,
-            weights: if store_weights { Some(weights) } else { None },
+            weights: store_weights.then_some(weights),
             transpose: None,
         }
     }
@@ -227,6 +189,96 @@ impl CsrGraph {
             None => self.targets.len() as f64,
         }
     }
+}
+
+/// Group the entries `edges` make into per-vertex rows, each row in edge
+/// order; the result is the same at any thread count.
+///
+/// Edge `(u, v, w)` puts `(v, w)` in row `u`; with `incident` it also puts
+/// `(u, w)` in row `v` right after it, so a self-loop appears twice in its
+/// own row. Every row is followed by `gap` unused, zeroed entries, room
+/// for appends. Returns `(offsets, targets, weights)`: row `x` is
+/// `offsets[x]..offsets[x + 1] - gap` of `targets` and `weights`, and
+/// `weights` is empty unless `with_weights`.
+///
+/// A stable counting sort in three passes. Every chunk of edges (one per
+/// worker) counts its own entries per row. One serial pass over the rows
+/// turns those counts into per-(chunk, row) cursors, lower chunks first.
+/// Every chunk then scatters its edges in order through its own cursors.
+/// There are no atomics and no intermediate copy of the entries.
+///
+/// Panics if an edge names a vertex `>= n`.
+pub fn rows_in_edge_order(
+    n: usize,
+    edges: &[Edge],
+    incident: bool,
+    with_weights: bool,
+    gap: usize,
+) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
+    let chunk_len = edges
+        .len()
+        .div_ceil(rayon::current_num_threads().max(1))
+        .max(1);
+    let mut cursors: Vec<Vec<usize>> = edges
+        .par_chunks(chunk_len)
+        .map(|chunk| {
+            let mut count = vec![0usize; n];
+            for e in chunk {
+                count[e.u as usize] += 1;
+                if incident {
+                    count[e.v as usize] += 1;
+                }
+            }
+            count
+        })
+        .collect();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut next = 0usize;
+    for x in 0..n {
+        offsets.push(next);
+        for cursor in &mut cursors {
+            let count = cursor[x];
+            cursor[x] = next;
+            next += count;
+        }
+        next += gap;
+    }
+    offsets.push(next);
+    let mut targets = vec![0 as VertexId; next];
+    let mut weights = if with_weights {
+        vec![0.0; next]
+    } else {
+        Vec::new()
+    };
+    let (target_ptr, weight_ptr) = (SendPtr(targets.as_mut_ptr()), SendPtr(weights.as_mut_ptr()));
+    edges
+        .par_chunks(chunk_len)
+        .zip(cursors)
+        .for_each(|(chunk, mut cursor)| {
+            let mut put = |row: VertexId, target: VertexId, w: Weight| {
+                let slot = &mut cursor[row as usize];
+                // SAFETY: this chunk counted exactly this entry for `row` in
+                // the first pass, so `*slot` lies inside the range the prefix
+                // pass reserved for this (chunk, row) pair: below `next`,
+                // the length of both arrays (`weights` is only written when
+                // it was allocated), and disjoint from every other chunk's
+                // and row's range. Each slot is written once.
+                unsafe {
+                    *target_ptr.get().add(*slot) = target;
+                    if with_weights {
+                        *weight_ptr.get().add(*slot) = w;
+                    }
+                }
+                *slot += 1;
+            };
+            for e in chunk {
+                put(e.u, e.v, e.w);
+                if incident {
+                    put(e.v, e.u, e.w);
+                }
+            }
+        });
+    (offsets, targets, weights)
 }
 
 /// Raw pointer wrapper that is `Send + Sync` so rayon closures can scatter

@@ -24,17 +24,36 @@
 
 use std::io::{Read, Write};
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven and
+/// sliced by 8: eight independent lookups per 8 input bytes instead of a
+/// chain of eight dependent ones, several times faster on the
+/// hundred-megabyte checkpoint payloads recovery verifies.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the byte-at-a-time table; `CRC_TABLES[j][i]` is the
+/// CRC of byte `i` followed by `j` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -47,10 +66,20 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 };
 
 /// How reading a frame can fail.
@@ -242,7 +271,9 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FrameError> {
+    /// Read `n` raw bytes — for decoding a run of fixed-size items at
+    /// once instead of one bounds check per field.
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FrameError> {
         if self.remaining() < n {
             return Err(FrameError::malformed(format!(
                 "{what}: need {n} bytes, {} remain",
@@ -338,6 +369,28 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The sliced loop agrees with the one-byte-at-a-time definition at
+    /// every length and alignment, so every checksum already on disk
+    /// still verifies.
+    #[test]
+    fn sliced_crc32_matches_bytewise() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = !0u32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            !c
+        };
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod transform;
 
 pub use builder::GraphBuilder;
 pub use compressed::CompressedCsr;
-pub use csr::CsrGraph;
+pub use csr::{rows_in_edge_order, CsrGraph};
 pub use edge_list::{Edge, EdgeList};
 pub use partition::edge_balanced_ranges;
 

@@ -1,7 +1,86 @@
 //! Property-based tests of the graph substrate's core invariants.
 
-use gee_graph::{edge_balanced_ranges, transform, CsrGraph, Edge, EdgeList};
+use gee_graph::{edge_balanced_ranges, rows_in_edge_order, transform, CsrGraph, Edge, EdgeList};
 use proptest::prelude::*;
+
+/// An R-MAT graph (duplicates and self-loops kept) with a few distinct
+/// weights, so an entry out of order shows in the weights too.
+fn rmat_fixture() -> EdgeList {
+    let base = gee_gen::rmat(9, 6_000, gee_gen::RmatParams::default(), 41);
+    let edges: Vec<Edge> = base
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| Edge::new(e.u, e.v, 0.5 + (i % 7) as f64))
+        .collect();
+    assert!(edges.iter().any(|e| e.u == e.v), "fixture needs self-loops");
+    EdgeList::new_unchecked(base.num_vertices(), edges)
+}
+
+fn on_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
+/// Every vertex's CSR row is the edge-order filter of the edge list, at
+/// any thread count — the scatter is stable, not first-come.
+#[test]
+fn csr_rows_keep_edge_order_at_any_thread_count() {
+    let el = rmat_fixture();
+    for threads in [1, 2, 3, 17] {
+        let g = on_threads(threads, || CsrGraph::from_edge_list(&el));
+        for v in 0..el.num_vertices() as u32 {
+            let (targets, weights): (Vec<u32>, Vec<f64>) = el
+                .edges()
+                .iter()
+                .filter(|e| e.u == v)
+                .map(|e| (e.v, e.w))
+                .unzip();
+            assert_eq!(g.neighbors(v), targets, "vertex {v}, {threads} threads");
+            assert_eq!(
+                g.edge_weights(v).unwrap(),
+                weights,
+                "vertex {v}, {threads} threads"
+            );
+        }
+    }
+}
+
+/// The incident rows (both endpoints of every edge, source entry first)
+/// are the edge-order filter too, at any thread count.
+#[test]
+fn incident_rows_keep_edge_order_at_any_thread_count() {
+    let el = rmat_fixture();
+    let n = el.num_vertices();
+    let mut expected = vec![Vec::new(); n];
+    for e in el.edges() {
+        expected[e.u as usize].push((e.v, e.w.to_bits()));
+        expected[e.v as usize].push((e.u, e.w.to_bits()));
+    }
+    for threads in [1, 2, 3, 17] {
+        let (offsets, targets, weights) =
+            on_threads(threads, || rows_in_edge_order(n, el.edges(), true, true, 2));
+        assert_eq!(offsets.len(), n + 1);
+        for (x, want) in expected.iter().enumerate() {
+            let row = offsets[x]..offsets[x + 1] - 2;
+            assert_eq!(targets[row.end..offsets[x + 1]], [0, 0], "gap of {x}");
+            let got: Vec<(u32, u64)> = targets[row.clone()]
+                .iter()
+                .zip(&weights[row])
+                .map(|(&t, w)| (t, w.to_bits()))
+                .collect();
+            assert_eq!(&got, want, "vertex {x}, {threads} threads");
+        }
+    }
+    let (offsets, targets, weights) = rows_in_edge_order(3, &[], true, true, 1);
+    assert_eq!(
+        (offsets, targets, weights),
+        (vec![0, 1, 2, 3], vec![0; 3], vec![0.0; 3])
+    );
+}
 
 /// Strategy: an arbitrary small graph as (n, edge list).
 fn arb_graph() -> impl Strategy<Value = EdgeList> {

@@ -25,6 +25,12 @@
 //!   per vertex: degree u32, degree × (vertex u32, w f64-bits)
 //! ```
 //!
+//! The per-vertex lists are the writer's flat incident-edge mirror
+//! ([`DynamicGeeState`]'s `offsets`/`targets`/`weights`) written list by
+//! list; decoding fills those arrays directly. This is the same byte
+//! layout builds that kept one `Vec` per vertex wrote, so `VERSION` did
+//! not change when the mirror became flat.
+//!
 //! Checkpoints are written to a temp file, fsynced, then atomically
 //! renamed into place — a crash mid-checkpoint leaves no file under the
 //! final name, so a checkpoint that *does* exist but fails its CRC or
@@ -138,11 +144,11 @@ pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
         for &c in &s.class_counts {
             frame::put_u64(&mut buf, c);
         }
-        for list in &s.adjacency {
-            frame::put_u32(&mut buf, list.len() as u32);
-            for &(v, w) in list {
-                frame::put_u32(&mut buf, v);
-                frame::put_f64(&mut buf, w);
+        for list in s.offsets.windows(2) {
+            frame::put_u32(&mut buf, (list[1] - list[0]) as u32);
+            for i in list[0]..list[1] {
+                frame::put_u32(&mut buf, s.targets[i]);
+                frame::put_f64(&mut buf, s.weights[i]);
             }
         }
     }
@@ -178,11 +184,11 @@ pub fn decode(payload: &[u8]) -> Result<Checkpoint, FrameError> {
             )));
         }
         let (n, k) = (n64 as usize, k64 as usize);
-        let cells = n64 * k64;
-        let mut zhat = Vec::with_capacity(cells as usize);
-        for _ in 0..cells {
-            zhat.push(c.take_f64("zhat cell")?);
-        }
+        let zhat = c
+            .take(n * k * 8, "zhat")?
+            .chunks_exact(8)
+            .map(|cell| f64::from_le_bytes(cell.try_into().expect("8 bytes")))
+            .collect();
         let mut labels = Vec::with_capacity(n);
         for _ in 0..n {
             labels.push(c.take_i32("label")?);
@@ -191,16 +197,20 @@ pub fn decode(payload: &[u8]) -> Result<Checkpoint, FrameError> {
         for _ in 0..k {
             class_counts.push(c.take_u64("class count")?);
         }
-        let mut adjacency = Vec::with_capacity(n);
+        // The lists go straight into the flat mirror arrays; at 12 bytes
+        // an entry, what is left of the payload bounds their length.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(c.remaining() / 12);
+        let mut weights = Vec::with_capacity(c.remaining() / 12);
+        offsets.push(0);
         for _ in 0..n {
             let deg = c.take_count(12, "degree")?;
-            let mut list = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                let v = c.take_u32("neighbor")?;
-                let w = c.take_f64("weight")?;
-                list.push((v, w));
+            for entry in c.take(deg * 12, "adjacency list")?.chunks_exact(12) {
+                let (target, weight) = entry.split_at(4);
+                targets.push(u32::from_le_bytes(target.try_into().expect("4 bytes")));
+                weights.push(f64::from_le_bytes(weight.try_into().expect("8 bytes")));
             }
-            adjacency.push(list);
+            offsets.push(targets.len());
         }
         graphs.push(GraphCheckpoint {
             name,
@@ -213,7 +223,9 @@ pub fn decode(payload: &[u8]) -> Result<Checkpoint, FrameError> {
                 zhat,
                 labels,
                 class_counts,
-                adjacency,
+                offsets,
+                targets,
+                weights,
             },
         });
     }
@@ -397,6 +409,78 @@ mod tests {
     fn payload_round_trips() {
         let ckpt = sample();
         assert_eq!(decode(&encode(&ckpt)).unwrap(), ckpt);
+    }
+
+    /// The byte layout, pinned: a 4-vertex state with a duplicate edge, a
+    /// self-loop and an empty list encodes to exactly these bytes.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        let el = EdgeList::new_unchecked(
+            4,
+            vec![
+                gee_graph::Edge::new(0, 1, 1.0),
+                gee_graph::Edge::new(0, 1, 1.0),
+                gee_graph::Edge::new(2, 2, 0.5),
+            ],
+        );
+        let labels = Labels::from_options_with_k(&[Some(0), Some(1), None, Some(0)], 2);
+        let ckpt = Checkpoint {
+            lsn: 1,
+            leader_epoch: 2,
+            graphs: vec![GraphCheckpoint {
+                name: "g".into(),
+                shards: 3,
+                epoch: 4,
+                updates_applied: 5,
+                state: DynamicGee::new(&el, &labels).export_state(),
+            }],
+        };
+        const ZERO: [u8; 8] = [0; 8];
+        const TWO: [u8; 8] = [0, 0, 0, 0, 0, 0, 0, 0x40];
+        const ONE: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xF0, 0x3F];
+        const HALF: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
+        let expected: Vec<u8> = [
+            &[1, 0, 0, 0, 0, 0, 0, 0][..], // lsn
+            &[2, 0, 0, 0, 0, 0, 0, 0],     // leader epoch
+            &[1, 0, 0, 0],                 // one graph
+            &[1, 0, 0, 0, b'g'],           // name
+            &[3, 0, 0, 0],                 // shards
+            &[4, 0, 0, 0, 0, 0, 0, 0],     // epoch
+            &[5, 0, 0, 0, 0, 0, 0, 0],     // updates applied
+            &[4, 0, 0, 0, 0, 0, 0, 0],     // n
+            &[2, 0, 0, 0],                 // K
+            // Ẑ, row by row: the duplicate edge twice into (0, Y(1)) and
+            // (1, Y(0)); the self-loop's endpoint is unlabeled.
+            &ZERO,
+            &TWO,
+            &TWO,
+            &ZERO,
+            &ZERO,
+            &ZERO,
+            &ZERO,
+            &ZERO,
+            &[0, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0], // labels
+            &[2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],             // class counts
+            // Vertex 0: degree 2, (1, 1.0) twice.
+            &[2, 0, 0, 0, 1, 0, 0, 0],
+            &ONE,
+            &[1, 0, 0, 0],
+            &ONE,
+            // Vertex 1: degree 2, (0, 1.0) twice.
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &ONE,
+            &[0, 0, 0, 0],
+            &ONE,
+            // Vertex 2: the self-loop, (2, 0.5) twice.
+            &[2, 0, 0, 0, 2, 0, 0, 0],
+            &HALF,
+            &[2, 0, 0, 0],
+            &HALF,
+            &[0, 0, 0, 0], // vertex 3: no entries
+        ]
+        .concat();
+        assert_eq!(encode(&ckpt), expected);
+        assert_eq!(decode(&expected).unwrap(), ckpt);
     }
 
     #[test]
