@@ -763,18 +763,15 @@ fn ivf_probe(
     for (bi, block) in snap.blocks().iter().enumerate() {
         // Probing everything is the same scan, sans centroid overhead.
         let index = if uses_index(block) {
-            // Build/hit accounting, per block touched: a probe that
-            // finds the index cached is a hit, one that forces the
-            // lazy build counts the build. Racing first-touch probes
-            // may each count a build (only one wins the `OnceLock`) —
-            // the counters are gauges, not a ledger.
-            let was_cached = block.ann_initialized();
-            let index = block.ann_index();
+            // Build/hit accounting, per block touched: the probe that
+            // runs the lazy build counts it, every other probe (one
+            // that waited on a racing build included) counts a hit.
+            let (index, built) = block.ann_index_and_built();
             if index.is_some() {
-                let counter = if was_cached {
-                    &metrics.ivf_hits
-                } else {
+                let counter = if built {
                     &metrics.ivf_builds
+                } else {
+                    &metrics.ivf_hits
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
             }
@@ -1335,5 +1332,35 @@ mod tests {
         let results = engine.execute_batch(batch);
         assert_eq!(results[0], results[1]);
         assert!(matches!(results[2], Err(ServeError::EpochEvicted { .. })));
+    }
+
+    #[test]
+    fn racing_first_ann_probes_count_one_build() {
+        // One 3,000-row shard: its index build takes long enough that
+        // both probes, released together, reach the unbuilt index.
+        let n = 3000;
+        let el = gee_gen::erdos_renyi_gnm(n, 24_000, 5);
+        let spec = LabelSpec {
+            num_classes: 6,
+            labeled_fraction: 0.3,
+        };
+        let labels = Labels::from_options_with_k(&gee_gen::random_labels(n, spec, 6), 6);
+        let reg = Registry::new(1);
+        reg.register("g", &el, &labels).unwrap();
+        let engine = Engine::new(Arc::new(reg));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for v in [0, 1] {
+                let (engine, start) = (&engine, &start);
+                s.spawn(move || {
+                    start.wait();
+                    engine
+                        .similar_with("g", v, 5, None, Some(SearchPolicy::ann(2)))
+                        .unwrap();
+                });
+            }
+        });
+        let m = engine.metrics("g").unwrap();
+        assert_eq!((m.ivf_builds, m.ivf_hits), (1, 1), "one build, one hit");
     }
 }

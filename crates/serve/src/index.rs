@@ -26,6 +26,44 @@
 //! reproduce the same index structure and the same ANN answers as the
 //! uninterrupted process (`tests/durability.rs`).
 //!
+//! # The build: Lloyd's k-means without wasted distances
+//!
+//! The quantizer is `√rows` centroids seeded from evenly spaced rows,
+//! eight Lloyd passes over at most 4,096 strided rows, then one pass
+//! assigning every row. Each pass gives a row the **lowest-id
+//! centroid at the least `dist2`** — a pure function of the row's bits
+//! and the pass's centroids — and centroid sums accumulate in sample
+//! order. Most of those distances cannot change the answer, and the
+//! search skips them exactly (after Elkan, "Using the triangle
+//! inequality to accelerate k-means", ICML 2003):
+//!
+//! * **Row memo.** GEE rows are sums over *labelled* neighbours, so many
+//!   are identical: with 10 % of an R-MAT graph's vertices labelled,
+//!   half the rows are all zero. Rows with the same bits have the same
+//!   answer, so a pass searches once per distinct row. Copies are found
+//!   once per build by a hash of the bits, confirmed against the row
+//!   itself.
+//! * **Triangle stop.** A search starts from a hint — the row's previous
+//!   assignment in the sample, the previous row's list in the final
+//!   pass — and visits the other centroids in ascending distance `cc`
+//!   from the hint (a per-centroid table, built lazily per pass). Once
+//!   `cc > (√d_hint + √d_best)·(1 + 1e-9) + 1e-150`, the triangle
+//!   inequality puts this and every later centroid farther from the row
+//!   than the best by a margin: computed distances are within a relative
+//!   `(dim + 3)·2⁻⁵³` and an absolute `√(dim·2⁻¹⁰⁷⁴)` (underflow) of the
+//!   real ones, and the margin exceeds both many times over, so no
+//!   later centroid can compute smaller or equal. An overflowed `cc`
+//!   stops nothing. Equal distances go to the lower id, as in a scan.
+//! * **Early exit.** A distance is abandoned once its running sum,
+//!   checked every 8 terms, exceeds the best so far. The terms are added
+//!   in the full sum's order and none is negative, so the sum only grows
+//!   and the abandoned centroid is strictly farther. Four candidates are
+//!   summed side by side, as independent chains of additions.
+//!
+//! Rows with a non-finite entry, and passes with a non-finite centroid,
+//! scan every centroid. The index is therefore bit-identical to plain
+//! Lloyd with a full scan per row, which the tests keep as an oracle.
+//!
 //! # Exactness guard rails
 //!
 //! Approximate answers are only trustworthy when the fallback rules are
@@ -46,6 +84,8 @@
 //! `tests/ann_recall.rs` pins all of this against the exact scan as an
 //! oracle: measured recall@top across graphs, shard counts, and `nprobe`
 //! settings, and bit-identity whenever the pool covers everything.
+
+use std::hash::{BuildHasher, Hasher};
 
 use crate::snapshot::ShardBlock;
 
@@ -127,6 +167,18 @@ const KMEANS_ITERS: usize = 8;
 /// row.
 const KMEANS_SAMPLE: usize = 4096;
 
+/// Relative slack of the triangle-inequality stop in [`NearestCentroid`]. A
+/// computed distance is within `(dim + 3)·2⁻⁵³` of the real one, relative;
+/// the slack stays at least eight times that for any `dim`.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Absolute slack of the same stop: more than `√(dim·2⁻¹⁰⁷⁴)`, the most
+/// that underflowing squares can take off a computed distance.
+const PRUNE_SLACK: f64 = 1e-150;
+
+/// Candidate distances computed side by side in [`NearestCentroid`]'s search.
+const LANES: usize = 4;
+
 /// Inverted-file index over one shard block's rows. Immutable once
 /// built; deterministic in the block's content.
 #[derive(Debug)]
@@ -145,6 +197,200 @@ pub struct IvfIndex {
 #[inline]
 fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// [`dist2`] from `r` to each of `L` centroids, each abandoned once
+/// every running sum exceeds `bound`: per centroid, the same bits as
+/// `dist2` when that is `≤ bound`, else some value `> bound`. Exact
+/// because each sum adds its terms in `dist2`'s order and none is
+/// negative, so no partial sum exceeds its total. The `L` sums are
+/// independent chains of additions, which the processor overlaps.
+#[inline]
+fn dist2_within<const L: usize>(r: &[f64], cs: [&[f64]; L], bound: f64) -> [f64; L] {
+    let mut sums = [0.0f64; L];
+    let mut k = 0;
+    while k + 8 <= r.len() {
+        let x: &[f64; 8] = r[k..k + 8].try_into().expect("8 terms");
+        let ys: [&[f64; 8]; L] = cs.map(|c| c[k..k + 8].try_into().expect("8 terms"));
+        for j in 0..8 {
+            for (sum, y) in sums.iter_mut().zip(&ys) {
+                *sum += (x[j] - y[j]) * (x[j] - y[j]);
+            }
+        }
+        if sums.iter().all(|&s| s > bound) {
+            return sums;
+        }
+        k += 8;
+    }
+    for j in k..r.len() {
+        for (sum, c) in sums.iter_mut().zip(&cs) {
+            *sum += (r[j] - c[j]) * (r[j] - c[j]);
+        }
+    }
+    sums
+}
+
+/// The nearest centroid by a scan of all of them. Strict `<`: ties
+/// resolve to the lowest centroid id, so assignment is a pure function
+/// of the data.
+fn scan_nearest(centroids: &[f64], r: &[f64]) -> usize {
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (c, centroid) in centroids.chunks_exact(r.len()).enumerate() {
+        let d = dist2(r, centroid);
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    best
+}
+
+/// Exact nearest-centroid search for the passes of one build: the
+/// answer of [`scan_nearest`], found with far fewer distances (the
+/// module doc gives the argument).
+struct NearestCentroid<'a> {
+    rows: &'a [f64],
+    dim: usize,
+    /// `1 +` the relative slack of the triangle stop.
+    margin: f64,
+    /// Per row: the lowest row index with the same bits.
+    first_copy: Vec<u32>,
+    /// Per first copy: its answer in the current pass, `u32::MAX` until
+    /// it is searched.
+    memo: Vec<u32>,
+    /// Per centroid: the other centroids as `(distance, id)`, ascending.
+    /// Empty until a search in the current pass starts from it.
+    tables: Vec<Vec<(f64, u32)>>,
+    /// Whether every centroid of the current pass is finite.
+    finite: bool,
+}
+
+impl<'a> NearestCentroid<'a> {
+    fn new(rows: &'a [f64], dim: usize, nlist: usize) -> NearestCentroid<'a> {
+        let first_copy = first_copies(rows, dim);
+        NearestCentroid {
+            rows,
+            dim,
+            margin: 1.0 + PRUNE_MARGIN.max(8.0 * (dim as f64 + 4.0) * f64::EPSILON),
+            memo: vec![u32::MAX; first_copy.len()],
+            first_copy,
+            tables: vec![Vec::new(); nlist],
+            finite: false,
+        }
+    }
+
+    /// Forget the previous pass's answers and tables.
+    fn begin_pass(&mut self, centroids: &[f64]) {
+        self.memo.fill(u32::MAX);
+        self.tables.iter_mut().for_each(Vec::clear);
+        self.finite = centroids.iter().all(|x| x.is_finite());
+    }
+
+    /// The centroid nearest to row `i`, searched from centroid `hint`
+    /// unless a copy of the row was answered earlier in this pass.
+    fn nearest(&mut self, centroids: &[f64], i: usize, hint: usize) -> usize {
+        let first = self.first_copy[i] as usize;
+        if self.memo[first] == u32::MAX {
+            self.memo[first] = self.search_from(centroids, i, hint) as u32;
+        }
+        self.memo[first] as usize
+    }
+
+    fn search_from(&mut self, centroids: &[f64], i: usize, hint: usize) -> usize {
+        let dim = self.dim;
+        let r = &self.rows[i * dim..(i + 1) * dim];
+        if !self.finite || !r.iter().all(|x| x.is_finite()) {
+            return scan_nearest(centroids, r);
+        }
+        let centroid = |c: usize| &centroids[c * dim..(c + 1) * dim];
+        let table = &mut self.tables[hint];
+        if table.is_empty() {
+            let from = centroid(hint);
+            table.extend(
+                (0..centroids.len() / dim)
+                    .filter(|&c| c != hint)
+                    .map(|c| (dist2(from, centroid(c)).sqrt(), c as u32)),
+            );
+            table.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+        let (mut best, mut best_d) = (hint, dist2(r, centroid(hint)));
+        let to_hint = best_d.sqrt();
+        let mut rest = &table[..];
+        loop {
+            // Every centroid at least `stop` from the hint is farther
+            // from the row than the best, by the triangle inequality;
+            // the table ascends, so the rest are too. An overflowed `cc`
+            // proves nothing.
+            let stop = (to_hint + best_d.sqrt()) * self.margin + PRUNE_SLACK;
+            let admitted = rest
+                .iter()
+                .take(LANES)
+                .take_while(|&&(cc, _)| !(cc > stop && cc.is_finite()))
+                .count();
+            let mut ds = [f64::INFINITY; LANES];
+            if admitted == LANES {
+                ds = dist2_within(
+                    r,
+                    std::array::from_fn(|l| centroid(rest[l].1 as usize)),
+                    best_d,
+                );
+            } else {
+                for (d, &(_, c)) in ds.iter_mut().zip(&rest[..admitted]) {
+                    [*d] = dist2_within(r, [centroid(c as usize)], best_d);
+                }
+            }
+            for (&(_, c), d) in rest[..admitted].iter().zip(ds) {
+                let c = c as usize;
+                if d < best_d || (d == best_d && c < best) {
+                    best = c;
+                    best_d = d;
+                }
+            }
+            if admitted < LANES {
+                return best;
+            }
+            rest = &rest[LANES..];
+        }
+    }
+}
+
+/// Per row, the lowest index of a row with the same bits, found through
+/// a linear-probing table of row indices keyed by a hash of the bits.
+/// The default hasher keeps rows crafted to collide from making this
+/// quadratic.
+fn first_copies(rows: &[f64], dim: usize) -> Vec<u32> {
+    let n = rows.len() / dim;
+    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+    let hasher = std::hash::RandomState::new();
+    let hashes: Vec<u64> = (0..n)
+        .map(|i| {
+            let mut h = hasher.build_hasher();
+            row(i).iter().for_each(|x| h.write_u64(x.to_bits()));
+            h.finish()
+        })
+        .collect();
+    let mask = (2 * n).next_power_of_two() - 1;
+    let mut slots = vec![u32::MAX; mask + 1];
+    let mut first = Vec::with_capacity(n);
+    for (i, &h) in hashes.iter().enumerate() {
+        let mut s = h as usize & mask;
+        loop {
+            let j = slots[s];
+            if j == u32::MAX {
+                slots[s] = i as u32;
+                first.push(i as u32);
+                break;
+            }
+            let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits();
+            if hashes[j as usize] == h && row(j as usize).iter().zip(row(i)).all(same) {
+                first.push(j);
+                break;
+            }
+            s = (s + 1) & mask;
+        }
+    }
+    first
 }
 
 impl IvfIndex {
@@ -171,28 +417,24 @@ impl IvfIndex {
             centroids.extend_from_slice(row(c * n / nlist));
         }
 
-        // Lloyd iterations over a deterministically strided sample.
+        // Lloyd iterations over a deterministically strided sample. A
+        // sample row's search starts from its previous assignment (in
+        // the first pass, from the previous row's).
         let stride = n.div_ceil(KMEANS_SAMPLE).max(1);
         let sample: Vec<usize> = (0..n).step_by(stride).collect();
-        let nearest = |centroids: &[f64], r: &[f64]| -> usize {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for c in 0..nlist {
-                let d = dist2(r, &centroids[c * dim..(c + 1) * dim]);
-                // Strict `<`: ties resolve to the lowest centroid id, so
-                // assignment is a pure function of the data.
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            best
-        };
-        for _ in 0..KMEANS_ITERS {
+        let mut search = NearestCentroid::new(rows, dim, nlist);
+        let mut previous = vec![0u32; sample.len()];
+        for pass in 0..KMEANS_ITERS {
+            search.begin_pass(&centroids);
             let mut sums = vec![0.0f64; nlist * dim];
             let mut counts = vec![0usize; nlist];
-            for &i in &sample {
-                let c = nearest(&centroids, row(i));
+            let mut hint = 0;
+            for (&i, prev) in sample.iter().zip(&mut previous) {
+                if pass > 0 {
+                    hint = *prev as usize;
+                }
+                let c = search.nearest(&centroids, i, hint);
+                (hint, *prev) = (c, c as u32);
                 counts[c] += 1;
                 let acc = &mut sums[c * dim..(c + 1) * dim];
                 for (a, x) in acc.iter_mut().zip(row(i)) {
@@ -211,13 +453,16 @@ impl IvfIndex {
             }
         }
 
-        // Final assignment covers every row (ascending, so lists ascend).
+        // Final assignment covers every row (ascending, so lists ascend),
+        // each search starting from the previous row's list.
+        search.begin_pass(&centroids);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         let mut assignment: Vec<u32> = Vec::with_capacity(n);
+        let mut hint = 0;
         for i in 0..n {
-            let c = nearest(&centroids, row(i));
-            assignment.push(c as u32);
-            lists[c].push(i as u32);
+            hint = search.nearest(&centroids, i, hint);
+            assignment.push(hint as u32);
+            lists[hint].push(i as u32);
         }
         let (lo, _) = block.range();
         let mut train_lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
@@ -414,5 +659,321 @@ mod tests {
             dists[own_list], min,
             "assignment picks the nearest centroid"
         );
+    }
+
+    /// Plain Lloyd passes with a full scan of every centroid per row:
+    /// the oracle that [`IvfIndex::build`] must equal bit for bit.
+    fn reference_build(block: &ShardBlock) -> Option<IvfIndex> {
+        let dim = block.dim();
+        let rows = block.rows();
+        if dim == 0 {
+            return None;
+        }
+        let n = rows.len() / dim;
+        if n < ANN_MIN_SHARD_ROWS {
+            return None;
+        }
+        let nlist = ((n as f64).sqrt().round() as usize).clamp(1, n);
+        let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+        let mut centroids: Vec<f64> = Vec::with_capacity(nlist * dim);
+        for c in 0..nlist {
+            centroids.extend_from_slice(row(c * n / nlist));
+        }
+        let stride = n.div_ceil(KMEANS_SAMPLE).max(1);
+        let sample: Vec<usize> = (0..n).step_by(stride).collect();
+        let nearest = |centroids: &[f64], r: &[f64]| -> usize {
+            let mut best = 0usize;
+            let mut best_d = f64::INFINITY;
+            for c in 0..nlist {
+                let d = dist2(r, &centroids[c * dim..(c + 1) * dim]);
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            best
+        };
+        for _ in 0..KMEANS_ITERS {
+            let mut sums = vec![0.0f64; nlist * dim];
+            let mut counts = vec![0usize; nlist];
+            for &i in &sample {
+                let c = nearest(&centroids, row(i));
+                counts[c] += 1;
+                let acc = &mut sums[c * dim..(c + 1) * dim];
+                for (a, x) in acc.iter_mut().zip(row(i)) {
+                    *a += x;
+                }
+            }
+            for c in 0..nlist {
+                if counts[c] > 0 {
+                    let inv = 1.0 / counts[c] as f64;
+                    for d_i in 0..dim {
+                        centroids[c * dim + d_i] = sums[c * dim + d_i] * inv;
+                    }
+                }
+            }
+        }
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
+        let mut assignment: Vec<u32> = Vec::with_capacity(n);
+        for i in 0..n {
+            let c = nearest(&centroids, row(i));
+            assignment.push(c as u32);
+            lists[c].push(i as u32);
+        }
+        let (lo, _) = block.range();
+        let mut train_lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
+        for (ti, &(v, _)) in block.train().iter().enumerate() {
+            train_lists[assignment[(v - lo) as usize] as usize].push(ti as u32);
+        }
+        Some(IvfIndex {
+            dim,
+            centroids,
+            lists,
+            train_lists,
+        })
+    }
+
+    /// A block over `rows` with every third vertex labelled.
+    fn block_of(rows: Vec<f64>, dim: usize) -> ShardBlock {
+        let n = rows.len() / dim;
+        let labels = (0..n)
+            .map(|i| if i % 3 == 0 { (i % 4) as i32 } else { -1 })
+            .collect();
+        ShardBlock::build(0, n as u32, dim, rows, labels)
+    }
+
+    /// `build` equals `reference_build`: centroid bits, both list sets
+    /// and the digest.
+    fn assert_matches_reference(b: &ShardBlock, case: &str) {
+        let got = IvfIndex::build(b).expect("block is large enough to index");
+        let want = reference_build(b).expect("block is large enough to index");
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(got.centroids()),
+            bits(want.centroids()),
+            "{case}: centroids"
+        );
+        assert_eq!(got.lists(), want.lists(), "{case}: lists");
+        assert_eq!(got.train_lists(), want.train_lists(), "{case}: train lists");
+        assert_eq!(got.structure_digest(), want.structure_digest(), "{case}");
+    }
+
+    /// A small deterministic generator for test rows.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    /// `n × dim` rows: a `zero_share` of all-zero rows, then copies of a
+    /// pool of `distinct` sparse rows whose nonzero entries are drawn
+    /// around `scale` (either sign).
+    fn sparse_rows(
+        n: usize,
+        dim: usize,
+        zero_share: f64,
+        distinct: usize,
+        scale: f64,
+        seed: u64,
+    ) -> Vec<f64> {
+        let mut rng = Lcg(seed);
+        let pool: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match rng.below(4) {
+                        0 => 0.0,
+                        1 => -scale * (0.5 + rng.unit()),
+                        _ => scale * (0.5 + rng.unit()),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut rows = Vec::with_capacity(n * dim);
+        for _ in 0..n {
+            if rng.unit() < zero_share {
+                rows.extend(std::iter::repeat_n(0.0, dim));
+            } else {
+                rows.extend_from_slice(&pool[rng.below(distinct)]);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn abandoned_distances_are_exact_or_beyond_the_bound() {
+        for dim in [1, 7, 8, 9, 16, 50] {
+            let a: Vec<f64> = (0..dim).map(|j| (j as f64 * 0.7).sin()).collect();
+            let bs: Vec<Vec<f64>> = (0..4)
+                .map(|l| (0..dim).map(|j| ((j + l) as f64 * 1.3).cos()).collect())
+                .collect();
+            // Bounds at, between and beyond every partial sum.
+            let mut bounds = vec![0.0, f64::INFINITY];
+            let mut partial = 0.0;
+            for (x, y) in a.iter().zip(&bs[0]) {
+                partial += (x - y) * (x - y);
+                bounds.extend([partial, partial * (1.0 - 1e-12), partial * (1.0 + 1e-12)]);
+            }
+            for bound in bounds {
+                let four: [f64; 4] = dist2_within(&a, std::array::from_fn(|l| &bs[l][..]), bound);
+                for (b, got) in bs.iter().zip(four) {
+                    let [one] = dist2_within(&a, [&b[..]], bound);
+                    let exact = dist2(&a, b);
+                    for got in [got, one] {
+                        if exact <= bound {
+                            assert_eq!(got.to_bits(), exact.to_bits(), "dim {dim}, bound {bound}");
+                        } else {
+                            assert!(got > bound, "dim {dim}: {got} abandoned at bound {bound}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`NearestCentroid::nearest`] from `hint` equals the full scan on one row.
+    fn assert_search_matches_scan(row: f64, centroids: &[f64], hint: usize) {
+        let rows = [row];
+        let mut search = NearestCentroid::new(&rows, 1, centroids.len());
+        search.begin_pass(centroids);
+        assert_eq!(
+            search.nearest(centroids, 0, hint),
+            scan_nearest(centroids, &rows),
+            "row {row:e}, centroids {centroids:?}, hint {hint}"
+        );
+    }
+
+    #[test]
+    fn the_triangle_stop_survives_underflow_and_overflow() {
+        // Every square underflows to zero but the centroids' own
+        // (2.2e-162): the row ties both centroids at distance 0, and the
+        // lower id wins only if the stop's absolute slack keeps it in.
+        assert_search_matches_scan(0.3e-162, &[1.73e-162, 0.0], 1);
+        // The centroids are too far apart to square (`cc` overflows to
+        // infinity), yet the row is nearer the second: an infinite
+        // `cc` must not stop the search.
+        assert_search_matches_scan(0.1e154, &[-0.7e154, 0.7e154], 0);
+    }
+
+    #[test]
+    fn pruned_build_equals_the_full_scan_on_zero_and_duplicate_rows() {
+        assert_matches_reference(&block_of(vec![0.0; 300 * 8], 8), "all zero");
+        for (zero_share, distinct) in [(0.55, 3), (0.9, 1), (0.2, 40), (0.0, 7)] {
+            let rows = sparse_rows(700, 6, zero_share, distinct, 1.0, 5);
+            assert_matches_reference(
+                &block_of(rows, 6),
+                &format!("{zero_share} zero, {distinct} distinct"),
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_build_equals_the_full_scan_when_seeds_collide() {
+        // 400 rows give 20 centroids seeded from rows 0, 20, 40, …: a
+        // period of 20 seeds them all alike, a period of 40 in two
+        // alike groups, and every distance ties with another.
+        for period in [20, 40, 10] {
+            let rows: Vec<f64> = (0..400 * 3)
+                .map(|j| ((j / 3) % period) as f64 * 0.25 - (j % 3) as f64)
+                .collect();
+            assert_matches_reference(&block_of(rows, 3), &format!("period {period}"));
+        }
+    }
+
+    #[test]
+    fn pruned_build_equals_the_full_scan_across_chunk_edges_and_strides() {
+        for dim in [1, 7, 8, 9, 50] {
+            assert_matches_reference(&block(600, dim, 3), &format!("dim {dim}"));
+            let rows = sparse_rows(600, dim, 0.5, 90, 0.3, dim as u64);
+            assert_matches_reference(&block_of(rows, dim), &format!("sparse dim {dim}"));
+        }
+        assert_matches_reference(&block(ANN_MIN_SHARD_ROWS, 5, 2), "smallest indexed shard");
+        let n = 2 * KMEANS_SAMPLE + 300; // stride 3
+        let rows = sparse_rows(n, 4, 0.4, 300, 1.0, 9);
+        assert_matches_reference(&block_of(rows, 4), "strided sample");
+    }
+
+    #[test]
+    fn pruned_build_equals_the_full_scan_on_extreme_values() {
+        for (scale, case) in [
+            (1e-310, "subnormal"),
+            (1e-160, "squares underflow"),
+            (1e300, "squares overflow"),
+            (1.0, "negative"),
+        ] {
+            let rows = sparse_rows(500, 9, 0.3, 60, scale, 3);
+            assert_matches_reference(&block_of(rows, 9), case);
+        }
+        // Mixed magnitudes in one block, then NaN, infinite and ±1e300
+        // entries that force the full-scan fallback.
+        let mut rows = sparse_rows(500, 9, 0.3, 60, 1.0, 4);
+        rows[9 * 17 + 2] = 1e300;
+        rows[9 * 40 + 5] = -1e300;
+        rows[9 * 41] = 4e-320;
+        assert_matches_reference(&block_of(rows.clone(), 9), "mixed magnitudes");
+        rows[9 * 101 + 3] = f64::NAN;
+        assert_matches_reference(&block_of(rows.clone(), 9), "a NaN row");
+        rows[9 * 300 + 8] = f64::INFINITY;
+        assert_matches_reference(&block_of(rows, 9), "an infinite row");
+    }
+
+    #[test]
+    fn pruned_build_equals_the_full_scan_on_an_embed_large_shard() {
+        // The shape of one of 8 shards of an R-MAT 2^17 × 2^22 graph
+        // embedded with K = 50 and 10 % labelled: one shard's 16,384
+        // rows, about half of them all zero, the rest sparse.
+        use gee_core::Labels;
+        let n = 1 << 14;
+        let el = gee_gen::rmat(14, 3 << 17, gee_gen::RmatParams::default(), 7);
+        let uniform = gee_gen::WeightDistribution::Uniform { lo: 0.5, hi: 1.5 };
+        let el = gee_gen::assign_weights(&el, uniform, 7);
+        let spec = gee_gen::LabelSpec {
+            num_classes: 50,
+            labeled_fraction: 0.1,
+        };
+        let labels = Labels::from_options_with_k(&gee_gen::random_labels(n, spec, 8), 50);
+        let reg = crate::Registry::new(1);
+        reg.register("g", &el, &labels).unwrap();
+        let snap = reg.snapshot("g").unwrap();
+        let b = &snap.blocks()[0];
+        let zero_rows = b
+            .rows()
+            .chunks_exact(50)
+            .filter(|r| r.iter().all(|&x| x == 0.0))
+            .count();
+        let share = zero_rows as f64 / n as f64;
+        assert!((0.4..0.7).contains(&share), "{share} of the rows are zero");
+        assert_matches_reference(b, "embed_large shard");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn pruned_build_equals_the_full_scan(
+            n in ANN_MIN_SHARD_ROWS..700,
+            dim in 1usize..20,
+            zero_pct in 0usize..90,
+            distinct in 1usize..200,
+            scale_exp in -320i32..300,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let scale = 10f64.powi(scale_exp);
+            let rows = sparse_rows(n, dim, zero_pct as f64 / 100.0, distinct, scale, seed);
+            assert_matches_reference(&block_of(rows, dim), "proptest");
+        }
     }
 }

@@ -137,12 +137,14 @@ pub(crate) struct ServeMetrics {
     /// Write batches rejected by back-pressure
     /// ([`ServeError::Overloaded`](crate::ServeError::Overloaded)).
     pub(crate) overloaded: AtomicU64,
-    /// IVF shard indexes built lazily by a query probe (builds via
+    /// IVF shard indexes built lazily by a query probe, exactly one per
+    /// built block however many probes race to it (builds via
     /// [`Snapshot::warm_ann_indexes`](crate::Snapshot::warm_ann_indexes)
     /// are deliberate pre-warming and are not counted).
     pub(crate) ivf_builds: AtomicU64,
-    /// IVF probes that found a shard's index already cached (counted
-    /// per shard block touched, not per request).
+    /// IVF probes that did not build a shard's index: it was cached, or
+    /// a racing probe built it (counted per shard block touched, not per
+    /// request).
     pub(crate) ivf_hits: AtomicU64,
     /// WAL records shipped to followers by the replication listener.
     pub(crate) shipped_records: AtomicU64,

@@ -139,9 +139,20 @@ impl ShardBlock {
     /// (the exact sweep is used there). Deterministic in the block's
     /// content, so recovered blocks re-index identically.
     pub fn ann_index(&self) -> Option<&Arc<IvfIndex>> {
-        self.ann
-            .get_or_init(|| IvfIndex::build(self).map(Arc::new))
-            .as_ref()
+        self.ann_index_and_built().0
+    }
+
+    /// [`ShardBlock::ann_index`], and whether this call ran the build.
+    /// `OnceLock` runs one initializer, so of racing first-touch calls
+    /// exactly one sees `true`. Drives the registry's IVF build/hit
+    /// metrics.
+    pub(crate) fn ann_index_and_built(&self) -> (Option<&Arc<IvfIndex>>, bool) {
+        let mut built = false;
+        let index = self.ann.get_or_init(|| {
+            built = true;
+            IvfIndex::build(self).map(Arc::new)
+        });
+        (index.as_ref(), built)
     }
 
     /// The cached IVF index without building one: `None` when no ANN
@@ -149,14 +160,6 @@ impl ShardBlock {
     /// yet. Lets tests prove which epochs share an index by pointer.
     pub fn ann_index_cached(&self) -> Option<Arc<IvfIndex>> {
         self.ann.get().and_then(Clone::clone)
-    }
-
-    /// Whether an index build was already attempted for this block —
-    /// distinguishes "never touched" from a cached built-as-`None`
-    /// (too-small block), which [`ShardBlock::ann_index_cached`] cannot.
-    /// Drives the registry's IVF build/hit metrics.
-    pub(crate) fn ann_initialized(&self) -> bool {
-        self.ann.get().is_some()
     }
 }
 

@@ -159,7 +159,10 @@ fn ann_index_counts_agree_after_index_builds() {
         "both shards are big enough to index"
     );
     let metrics = engine.metrics("g").unwrap();
-    assert!(metrics.ivf_builds >= stats.num_shards as u64);
+    assert_eq!(
+        metrics.ivf_builds, stats.num_shards as u64,
+        "one build per shard"
+    );
 
     // A write publishes a new snapshot; blocks rewritten by it lose
     // their cached index while untouched blocks keep theirs — whatever
