@@ -849,10 +849,13 @@ fn classify_knn_ann(
     best.into_vec()
 }
 
-/// Shard-parallel nearest-neighbor sweep for `Similar`, one block per
-/// task, each scanning its own rows sequentially — or, with
-/// `ann = Some((nprobe, refine))`, a global IVF probe
-/// ([`similar_ann`]).
+/// Exact nearest-neighbor sweep for `Similar`: each block's own top
+/// list ([`ShardBlock::nearest`]), merged under `(distance, id)` — or,
+/// with `ann = Some((nprobe, refine))`, a global IVF probe
+/// ([`similar_ann`]). Runs on the calling thread: concurrent requests
+/// already keep every core busy, and once a block has grouped its rows
+/// its scan takes tens of microseconds, less than a parallel region
+/// costs to start.
 fn similar(
     snap: &Snapshot,
     vertex: u32,
@@ -865,37 +868,11 @@ fn similar(
         return similar_ann(snap, vertex, top, nprobe, refine, metrics);
     }
     let qr = snap.row(vertex);
-    let per_shard: Vec<Vec<(f64, u32)>> = snap
+    let mut merged: Vec<(f64, u32)> = snap
         .blocks()
-        .par_iter()
-        .map(|block| {
-            let (lo, hi) = block.range();
-            let len = (hi - lo) as usize;
-            // Cap the preallocation at the block size: `top` is
-            // client-controlled and may be huge (`usize::MAX` must
-            // degrade to a full ranking, not abort on the allocation).
-            let mut best: Vec<(f64, u32)> = Vec::with_capacity(top.saturating_add(1).min(len + 1));
-            for v in lo..hi {
-                if v == vertex {
-                    continue;
-                }
-                let d = crate::index::row_dist2(qr, block.row(v));
-                // Tie-break toward smaller id: ids ascend within a shard, so
-                // inserting *after* equal distances keeps the smaller id first
-                // and the boundary drops the larger id, consistent with the
-                // final `(distance, id)` sort.
-                let pos = best.partition_point(|&(bd, _)| bd <= d);
-                if pos < top {
-                    best.insert(pos, (d, v));
-                    if best.len() > top {
-                        best.pop();
-                    }
-                }
-            }
-            best
-        })
+        .iter()
+        .flat_map(|block| block.nearest(qr, top, Some(vertex)))
         .collect();
-    let mut merged: Vec<(f64, u32)> = per_shard.into_iter().flatten().collect();
     merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     merged.truncate(top);
     merged.into_iter().map(|(d, v)| (v, d.sqrt())).collect()
@@ -921,7 +898,7 @@ fn similar_ann(
     metrics: &ServeMetrics,
 ) -> Vec<(u32, f64)> {
     let qr = snap.row(vertex);
-    let lt = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt();
+    let lt = crate::index::by_distance_then_id;
     let mut best = crate::index::Selection::new(top, snap.num_vertices());
     let mut feed = |block: &ShardBlock, rows: Option<&[u32]>| -> usize {
         let (lo, hi) = block.range();
@@ -1055,6 +1032,51 @@ mod tests {
         all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         let expected: Vec<(u32, f64)> = all[..10].iter().map(|&(d, v)| (v, d)).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn nan_distances_follow_the_merge_order() {
+        // Finite weights whose sums overflow: rows 3, 5 and 7 are
+        // (+∞, 0), so 3's distance to 5 and to 7 is (∞ − ∞)² = NaN.
+        // One shard holds them all; the answer must be the total
+        // `(distance, id)` order's, NaN included.
+        let big = 1e308;
+        let mut edges = Vec::new();
+        for v in [3, 5, 7] {
+            for u in [0, 1, 0, 1] {
+                edges.push(gee_graph::Edge::new(v, u, big));
+            }
+        }
+        edges.push(gee_graph::Edge::new(2, 8, 1.0));
+        edges.push(gee_graph::Edge::new(4, 0, 1.0));
+        let el = gee_graph::EdgeList::new_unchecked(9, edges);
+        let mut y = vec![None; 9];
+        (y[0], y[1], y[8]) = (Some(0), Some(0), Some(1));
+        let reg = Registry::new(1);
+        reg.register("g", &el, &Labels::from_options_with_k(&y, 2))
+            .unwrap();
+        let engine = Engine::new(Arc::new(reg));
+        let snap = engine.registry().snapshot("g").unwrap();
+        let q = snap.row(3);
+        assert!(crate::index::row_dist2(q, snap.row(5)).is_nan());
+        let mut all: Vec<(f64, u32)> = (0..9)
+            .filter(|&v| v != 3)
+            .map(|v| (crate::index::row_dist2(q, snap.row(v)), v))
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for top in 1..=9 {
+            let got = match engine.execute("g", Request::similar(3, top)).unwrap() {
+                Response::Neighbors(x) => x,
+                other => panic!("unexpected response {other:?}"),
+            };
+            let want: Vec<(u32, u64)> = all
+                .iter()
+                .take(top)
+                .map(|&(d, v)| (v, d.sqrt().to_bits()))
+                .collect();
+            let got: Vec<(u32, u64)> = got.iter().map(|&(v, d)| (v, d.to_bits())).collect();
+            assert_eq!(got, want, "top {top}");
+        }
     }
 
     #[test]

@@ -40,9 +40,11 @@
 //! * **Row memo.** GEE rows are sums over *labelled* neighbours, so many
 //!   are identical: with 10 % of an R-MAT graph's vertices labelled,
 //!   half the rows are all zero. Rows with the same bits have the same
-//!   answer, so a pass searches once per distinct row. Copies are found
-//!   once per build by a hash of the bits, confirmed against the row
-//!   itself.
+//!   answer, so a pass searches once per distinct row. The groups of
+//!   copies are the block's distinct rows, grouped by the same pass as
+//!   the exact `Similar` scan's (`crate::snapshot`, "The exact scan"):
+//!   the build reads the block's cached groups if a scan has built
+//!   them, and otherwise groups the rows without keeping the result.
 //! * **Triangle stop.** A search starts from a hint — the row's previous
 //!   assignment in the sample, the previous row's list in the final
 //!   pass — and visits the other centroids in ascending distance `cc`
@@ -85,13 +87,11 @@
 //! oracle: measured recall@top across graphs, shard counts, and `nprobe`
 //! settings, and bit-identity whenever the pool covers everything.
 
-use std::hash::{BuildHasher, Hasher};
-
 use crate::snapshot::ShardBlock;
 
-/// How `Similar` and `Classify` search the embedding: exact
-/// shard-parallel scans (the default — bit-identical to pre-index
-/// behavior) or approximate IVF probes. Part of the wire contract.
+/// How `Similar` and `Classify` search the embedding: exact scans (the
+/// default — bit-identical to pre-index behavior) or approximate IVF
+/// probes. Part of the wire contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchPolicy {
     /// Exact scan of every row (every train row for `Classify`).
@@ -254,10 +254,10 @@ struct NearestCentroid<'a> {
     dim: usize,
     /// `1 +` the relative slack of the triangle stop.
     margin: f64,
-    /// Per row: the lowest row index with the same bits.
-    first_copy: Vec<u32>,
-    /// Per first copy: its answer in the current pass, `u32::MAX` until
-    /// it is searched.
+    /// Per row: its group of rows with the same bits.
+    group_of: Vec<u32>,
+    /// Per group: its answer in the current pass, `u32::MAX` until it
+    /// is searched.
     memo: Vec<u32>,
     /// Per centroid: the other centroids as `(distance, id)`, ascending.
     /// Empty until a search in the current pass starts from it.
@@ -267,14 +267,21 @@ struct NearestCentroid<'a> {
 }
 
 impl<'a> NearestCentroid<'a> {
-    fn new(rows: &'a [f64], dim: usize, nlist: usize) -> NearestCentroid<'a> {
-        let first_copy = first_copies(rows, dim);
+    /// A search over `rows`, whose row `i` is in group `group_of[i]`
+    /// of `groups` groups of rows with the same bits.
+    fn new(
+        rows: &'a [f64],
+        dim: usize,
+        nlist: usize,
+        group_of: Vec<u32>,
+        groups: usize,
+    ) -> NearestCentroid<'a> {
         NearestCentroid {
             rows,
             dim,
             margin: 1.0 + PRUNE_MARGIN.max(8.0 * (dim as f64 + 4.0) * f64::EPSILON),
-            memo: vec![u32::MAX; first_copy.len()],
-            first_copy,
+            group_of,
+            memo: vec![u32::MAX; groups],
             tables: vec![Vec::new(); nlist],
             finite: false,
         }
@@ -290,11 +297,11 @@ impl<'a> NearestCentroid<'a> {
     /// The centroid nearest to row `i`, searched from centroid `hint`
     /// unless a copy of the row was answered earlier in this pass.
     fn nearest(&mut self, centroids: &[f64], i: usize, hint: usize) -> usize {
-        let first = self.first_copy[i] as usize;
-        if self.memo[first] == u32::MAX {
-            self.memo[first] = self.search_from(centroids, i, hint) as u32;
+        let g = self.group_of[i] as usize;
+        if self.memo[g] == u32::MAX {
+            self.memo[g] = self.search_from(centroids, i, hint) as u32;
         }
-        self.memo[first] as usize
+        self.memo[g] as usize
     }
 
     fn search_from(&mut self, centroids: &[f64], i: usize, hint: usize) -> usize {
@@ -355,44 +362,6 @@ impl<'a> NearestCentroid<'a> {
     }
 }
 
-/// Per row, the lowest index of a row with the same bits, found through
-/// a linear-probing table of row indices keyed by a hash of the bits.
-/// The default hasher keeps rows crafted to collide from making this
-/// quadratic.
-fn first_copies(rows: &[f64], dim: usize) -> Vec<u32> {
-    let n = rows.len() / dim;
-    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
-    let hasher = std::hash::RandomState::new();
-    let hashes: Vec<u64> = (0..n)
-        .map(|i| {
-            let mut h = hasher.build_hasher();
-            row(i).iter().for_each(|x| h.write_u64(x.to_bits()));
-            h.finish()
-        })
-        .collect();
-    let mask = (2 * n).next_power_of_two() - 1;
-    let mut slots = vec![u32::MAX; mask + 1];
-    let mut first = Vec::with_capacity(n);
-    for (i, &h) in hashes.iter().enumerate() {
-        let mut s = h as usize & mask;
-        loop {
-            let j = slots[s];
-            if j == u32::MAX {
-                slots[s] = i as u32;
-                first.push(i as u32);
-                break;
-            }
-            let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits();
-            if hashes[j as usize] == h && row(j as usize).iter().zip(row(i)).all(same) {
-                first.push(j);
-                break;
-            }
-            s = (s + 1) & mask;
-        }
-    }
-    first
-}
-
 impl IvfIndex {
     /// Build the index for a block, or `None` when the block is too
     /// small to benefit ([`ANN_MIN_SHARD_ROWS`]). Deterministic: equal
@@ -422,7 +391,9 @@ impl IvfIndex {
         // the first pass, from the previous row's).
         let stride = n.div_ceil(KMEANS_SAMPLE).max(1);
         let sample: Vec<usize> = (0..n).step_by(stride).collect();
-        let mut search = NearestCentroid::new(rows, dim, nlist);
+        let distinct = block.row_groups();
+        let mut search =
+            NearestCentroid::new(rows, dim, nlist, distinct.group_of(), distinct.len());
         let mut previous = vec![0u32; sample.len()];
         for pass in 0..KMEANS_ITERS {
             search.begin_pass(&centroids);
@@ -534,8 +505,15 @@ impl IvfIndex {
 }
 
 /// Euclidean squared distance, shared by build and probe paths.
+#[inline]
 pub(crate) fn row_dist2(a: &[f64], b: &[f64]) -> f64 {
     dist2(a, b)
+}
+
+/// The `(distance, id)` order of `Similar` answers: distances by
+/// `total_cmp`, ties to the lower id. A total order, NaN included.
+pub(crate) fn by_distance_then_id(a: &(f64, u32), b: &(f64, u32)) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
 
 /// Bounded k-best selection under a caller-supplied total "is-less"
@@ -566,6 +544,16 @@ impl<T: Copy> Selection<T> {
             if self.items.len() > self.limit {
                 self.items.pop();
             }
+        }
+    }
+
+    /// The kept item a newcomer must precede to be kept, once `limit`
+    /// items are kept.
+    pub(crate) fn bar(&self) -> Option<&T> {
+        if self.items.len() == self.limit {
+            self.items.last()
+        } else {
+            None
         }
     }
 
@@ -847,7 +835,7 @@ mod tests {
     /// [`NearestCentroid::nearest`] from `hint` equals the full scan on one row.
     fn assert_search_matches_scan(row: f64, centroids: &[f64], hint: usize) {
         let rows = [row];
-        let mut search = NearestCentroid::new(&rows, 1, centroids.len());
+        let mut search = NearestCentroid::new(&rows, 1, centroids.len(), vec![0], 1);
         search.begin_pass(centroids);
         assert_eq!(
             search.nearest(centroids, 0, hint),

@@ -102,8 +102,9 @@
 //!
 //! # Approximate search (IVF)
 //!
-//! `Similar` and `Classify` are exact shard-parallel scans by default —
-//! O(n) per query, which stops holding up at millions of vertices. A
+//! `Similar` and `Classify` are exact scans by default — O(n) per query
+//! (O(distinct rows) for `Similar`), which stops holding up at millions
+//! of vertices. A
 //! registry configured with [`SearchPolicy::Ann`] (or a request carrying
 //! a `search` override) answers from per-shard
 //! **IVF indexes** instead ([`index`], [`IvfIndex`]): each

@@ -1547,13 +1547,10 @@ fn publish_cow(
         }
         let rows = writer.embedding_rows(lo as usize, hi as usize);
         if dirty.labels[i] {
-            Arc::new(ShardBlock::build(
-                lo,
-                hi,
-                k,
-                rows,
-                writer_labels(writer, lo, hi),
-            ))
+            Arc::new(
+                ShardBlock::build(lo, hi, k, rows, writer_labels(writer, lo, hi))
+                    .inheriting(parent_block),
+            )
         } else {
             // Labels untouched: share the labels slice and skip the
             // train-set regrouping.
