@@ -1429,7 +1429,7 @@ mod tests {
     #[test]
     fn embed_deterministic_impl() {
         let graph = tmp("gee_cli_det.txt");
-        let emb = tmp("gee_cli_det.csv");
+        let (det, reference) = (tmp("gee_cli_det.csv"), tmp("gee_cli_det_ref.csv"));
         run(&sv(&[
             "generate",
             "--kind",
@@ -1442,21 +1442,25 @@ mod tests {
             &graph,
         ]))
         .unwrap();
-        let out = run(&sv(&[
-            "embed",
-            "--graph",
-            &graph,
-            "--out",
-            &emb,
-            "--k",
-            "4",
-            "--impl",
-            "deterministic",
-        ]))
-        .unwrap();
+        let embed = |imp: &str, out: &str| {
+            let flags = ["--k", "4", "--threads", "3", "--impl", imp];
+            let args: Vec<&str> = ["embed", "--graph", &graph, "--out", out]
+                .into_iter()
+                .chain(flags)
+                .collect();
+            run(&sv(&args)).unwrap()
+        };
+        let out = embed("deterministic", &det);
         assert!(out.contains("Z is 200×4"), "{out}");
-        std::fs::remove_file(&graph).ok();
-        std::fs::remove_file(&emb).ok();
+        embed("reference", &reference);
+        assert_eq!(
+            std::fs::read(&det).unwrap(),
+            std::fs::read(&reference).unwrap(),
+            "--impl deterministic must write the reference's bytes"
+        );
+        for path in [&graph, &det, &reference] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -1,54 +1,10 @@
-//! Cross-crate integration for the extension features: deterministic
-//! kernel, dynamic updates, bucketed algorithms, new generators, and the
-//! downstream-inference evaluation stack — every extension validated
+//! Cross-crate integration for the extension features: dynamic updates,
+//! bucketed algorithms, new generators, and the downstream-inference
+//! evaluation stack — every extension validated
 //! end-to-end on generated workloads.
 
 use gee_core::dynamic::DynamicGee;
 use gee_repro::prelude::*;
-
-/// The deterministic kernel must be bit-identical to the serial reference
-/// on every workload family, at several pool sizes.
-#[test]
-fn deterministic_kernel_bit_exact_on_all_families() {
-    let workloads: Vec<EdgeList> = vec![
-        gee_gen::erdos_renyi_gnm(1_500, 20_000, 3),
-        gee_gen::rmat(11, 30_000, RmatParams::default(), 5),
-        gee_gen::preferential_attachment(2_000, 4, 7).symmetrized(),
-        gee_gen::watts_strogatz(
-            gee_gen::WsParams {
-                n: 1_000,
-                k: 8,
-                beta: 0.2,
-            },
-            9,
-        ),
-    ];
-    for (i, el) in workloads.iter().enumerate() {
-        let n = el.num_vertices();
-        let labels = Labels::from_options_with_k(
-            &gee_gen::random_labels(
-                n,
-                LabelSpec {
-                    num_classes: 12,
-                    labeled_fraction: 0.2,
-                },
-                i as u64,
-            ),
-            12,
-        );
-        let reference = gee_core::serial_reference::embed(el, &labels);
-        for threads in [1, 3] {
-            let z = with_threads(threads, || {
-                gee_core::deterministic::embed(n, el.edges(), &labels)
-            });
-            assert_eq!(
-                reference.as_slice(),
-                z.as_slice(),
-                "workload {i} not bit-exact at {threads} threads"
-            );
-        }
-    }
-}
 
 /// A long random stream of dynamic updates must track the static oracle.
 #[test]

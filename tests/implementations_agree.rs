@@ -1,8 +1,31 @@
 //! Cross-crate integration: all five executors of the GEE semantics (the
-//! four Table I implementations plus the bytecode interpreter) agree on
-//! every workload family the benchmarks use.
+//! four Table I implementations plus the bytecode interpreter) and the
+//! propagation-blocking kernel agree on every workload family the
+//! benchmarks use.
 
 use gee_repro::prelude::*;
+use proptest::prelude::*;
+
+/// The propagation-blocking kernel on `threads` workers.
+fn binned(el: &EdgeList, labels: &Labels, threads: usize) -> Embedding {
+    with_threads(threads, || {
+        gee_core::kernels::embed_binned(el.num_vertices(), el.edges(), labels, 16)
+    })
+}
+
+/// Propagation blocking sends each `Z` entry's contributions through one
+/// bin in edge order, so it adds what the serial loop adds, in the same
+/// order, at any thread count.
+fn assert_binned_bit_exact(el: &EdgeList, labels: &Labels, threads: &[usize]) {
+    let reference = gee_core::serial_reference::embed(el, labels);
+    for &t in threads {
+        assert_eq!(
+            reference.as_slice(),
+            binned(el, labels, t).as_slice(),
+            "binned must be bit-identical at {t} threads"
+        );
+    }
+}
 
 fn check_agreement(el: &EdgeList, labels: &Labels) {
     let reference = gee_core::serial_reference::embed(el, labels);
@@ -40,6 +63,129 @@ fn check_agreement(el: &EdgeList, labels: &Labels) {
         ligra(1, AtomicsMode::Atomic).as_slice(),
         "racy mode on one thread must be bit-identical to atomic"
     );
+    assert_binned_bit_exact(el, labels, &[1, 2, 3, 17]);
+}
+
+/// R-MAT over 2^17 vertices (more than one bin of the binned kernel) with
+/// 2,000 self-loops and 2,000 repeated edges appended, under log-normal
+/// weights: a self-loop sends both of its contributions to one `Z` entry,
+/// and a repeat adds to its original's entries from a later edge chunk.
+fn rmat_with_loops_and_duplicates() -> EdgeList {
+    let base = gee_gen::rmat(17, 100_000, RmatParams::default(), 41);
+    let n = base.num_vertices();
+    let mut edges = base.edges().to_vec();
+    for i in 0..2_000usize {
+        let v = (i * 65_537 % n) as u32;
+        edges.push(Edge::unit(v, v));
+        edges.push(base.edges()[i * 37 % base.num_edges()]);
+    }
+    let dist = gee_gen::WeightDistribution::LogNormal {
+        mu: 0.0,
+        sigma: 1.0,
+    };
+    gee_gen::assign_weights(&EdgeList::new_unchecked(n, edges), dist, 43)
+}
+
+#[test]
+fn agree_on_rmat_with_self_loops_duplicates_and_lognormal_weights() {
+    let el = rmat_with_loops_and_duplicates();
+    for labeled_fraction in [0.0, 0.1, 1.0] {
+        let spec = LabelSpec {
+            num_classes: 8,
+            labeled_fraction,
+        };
+        let labels =
+            Labels::from_options_with_k(&gee_gen::random_labels(el.num_vertices(), spec, 47), 8);
+        check_agreement(&el, &labels);
+    }
+}
+
+#[test]
+fn agree_on_watts_strogatz() {
+    let el = gee_gen::watts_strogatz(
+        WsParams {
+            n: 1_000,
+            k: 8,
+            beta: 0.2,
+        },
+        9,
+    );
+    let spec = LabelSpec {
+        num_classes: 12,
+        labeled_fraction: 0.2,
+    };
+    let labels = Labels::from_options_with_k(&gee_gen::random_labels(1_000, spec, 3), 12);
+    check_agreement(&el, &labels);
+}
+
+/// `n` vertices, `m` uniform edges, 6 classes at `frac` labelled.
+fn er_setup(n: usize, m: usize, seed: u64, frac: f64) -> (EdgeList, Labels) {
+    let el = gee_gen::erdos_renyi_gnm(n, m, seed);
+    let spec = LabelSpec {
+        num_classes: 6,
+        labeled_fraction: frac,
+    };
+    let labels = Labels::from_options(&gee_gen::random_labels(n, spec, seed ^ 0xBEEF));
+    (el, labels)
+}
+
+#[test]
+fn binned_bit_exact_at_1_2_4_7_threads() {
+    let (el, labels) = er_setup(400, 4000, 9, 0.3);
+    assert_binned_bit_exact(&el, &labels, &[1, 2, 4, 7]);
+    let (el, labels) = er_setup(300, 3000, 21, 0.5);
+    assert_binned_bit_exact(&el, &labels, &[1, 2, 4, 7]);
+}
+
+#[test]
+fn agree_on_weighted_self_loops_and_duplicates_by_hand() {
+    // A labelled self-loop adds both of its contributions to one `Z`
+    // entry; the repeated (0, 1) adds twice to two entries.
+    let el = EdgeList::new(
+        3,
+        vec![
+            Edge::new(0, 0, 2.5),
+            Edge::new(0, 1, 1.0),
+            Edge::new(0, 1, 3.0),
+            Edge::new(2, 0, 0.125),
+        ],
+    )
+    .unwrap();
+    check_agreement(&el, &Labels::from_options(&[Some(0), Some(0), Some(1)]));
+}
+
+#[test]
+fn agree_with_no_classes() {
+    let el = gee_gen::erdos_renyi_gnm(50, 300, 2);
+    let labels = Labels::from_options(&[None; 50]);
+    assert_eq!(labels.num_classes(), 0);
+    check_agreement(&el, &labels);
+    assert!(binned(&el, &labels, 3).as_slice().is_empty());
+}
+
+#[test]
+fn agree_on_an_empty_edge_list() {
+    let el = EdgeList::new(2, vec![]).unwrap();
+    let labels = Labels::from_options(&[Some(0), Some(1)]);
+    check_agreement(&el, &labels);
+    let z = binned(&el, &labels, 3);
+    assert_eq!(z.dim(), 2);
+    assert!(z.as_slice().iter().all(|&x| x == 0.0));
+}
+
+proptest! {
+    /// Property: the binned kernel is bit-identical to the serial
+    /// reference for arbitrary graphs and labelings.
+    #[test]
+    fn prop_binned_bit_identical(
+        n in 2usize..50,
+        seed in 0u64..500,
+        frac in 0.0f64..1.0,
+    ) {
+        let (el, labels) = er_setup(n, n * 5, seed, frac);
+        let a = gee_core::serial_reference::embed(&el, &labels);
+        prop_assert_eq!(a.as_slice(), binned(&el, &labels, 3).as_slice());
+    }
 }
 
 #[test]
