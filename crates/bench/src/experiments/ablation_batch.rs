@@ -2,13 +2,15 @@
 //! says the edge pass is memory bound; when L embeddings of one graph
 //! are needed, L separate passes pay the edge-stream traffic L times
 //! while the fused batch kernel (`gee_core::batch`) pays it once. This
-//! bench sweeps L and reports the fused-over-separate saving.
+//! bench sweeps L and reports the fused-over-separate saving; the fused
+//! parallel column is `gee_core::kernels::embed_binned` over all L
+//! labelings.
 //!
 //! ```text
 //! cargo run --release -p gee-bench --bin paper -- ablation-batch --scale 128
 //! ```
 
-use gee_core::{batch, serial_optimized, Labels};
+use gee_core::{batch, kernels, serial_optimized, Labels};
 
 use crate::report::{col, shown, Cell, Report};
 use crate::{labels, largest, timed, Args};
@@ -49,7 +51,7 @@ pub fn run(args: &Args) -> Report {
             });
             let (t_fused, fused) = timed(args.runs, || batch::embed_many(&el, &refs));
             let (t_fused_par, fused_par) =
-                timed(args.runs, || batch::embed_many_parallel(&el, &refs, 16));
+                timed(args.runs, || kernels::embed_binned(n, el.edges(), &refs));
             // Correctness: fused results must be bit-identical to separate.
             for ((a, b), c) in separate.iter().zip(&fused).zip(&fused_par) {
                 assert_eq!(a.as_slice(), b.as_slice(), "fused result diverged");

@@ -7,6 +7,11 @@
 //! * pull over in-edges, atomics-free (single writer per Z row),
 //! * propagation blocking (bin by destination range, then drain).
 //!
+//! The pull kernel needs a symmetric graph and its factor-2 trick changes
+//! the bits, yet it stays in `gee_core::kernels` beside the binned one
+//! because it wins this table: on a symmetrized R-MAT 2^16 it ran in
+//! 15–16 ms against 20–22 ms for push and 27–31 ms for binned.
+//!
 //! ```text
 //! cargo run --release -p gee-bench --bin paper -- ablation-kernels --scale 128
 //! ```
@@ -44,11 +49,11 @@ pub fn run(args: &Args) -> Report {
     });
     let (t_bin, z_bin) = timed(args.runs, || {
         gee_ligra::with_threads(args.threads, || {
-            gee_core::kernels::embed_binned(el.num_vertices(), el.edges(), labels, 16)
+            gee_core::kernels::embed_binned(el.num_vertices(), el.edges(), &[labels])
         })
     });
     z_ref.assert_close(&z_pull, 1e-9);
-    z_ref.assert_close(&z_bin, 1e-9);
+    z_ref.assert_close(&z_bin[0], 1e-9);
 
     for (kernel, key, seconds) in [
         ("push + atomic writeAdd (paper)", "ablation_kernels.push_atomic", t_push),

@@ -19,7 +19,7 @@
 //! | `sweep-labels`         | extension: labeled fraction vs runtime and ARI |
 //! | `ablation-batch`       | extension: fused multi-labeling passes |
 //! | `ablation-compression` | extension: byte-compressed adjacency |
-//! | `ablation-determinism` | extension: cost of bit-reproducible kernels |
+//! | `ablation-determinism` | extension: cost of the bit-reproducible (binned) kernel |
 //! | `ablation-dynamic`     | extension: incremental updates vs recompute |
 //! | `ablation-kernels`     | extension: push / racy / pull / binned kernels |
 //! | `ablation-reorder`     | extension: vertex order vs miss rate |

@@ -253,7 +253,8 @@ fn embed(flags: &Flags) -> crate::Result<String> {
             })
         }
         "deterministic" => gee_ligra::with_threads(threads, || {
-            gee_core::deterministic::embed(el.num_vertices(), el.edges(), &labels)
+            let mut z = gee_core::kernels::embed_binned(el.num_vertices(), el.edges(), &[&labels]);
+            z.pop().unwrap()
         }),
         other => {
             return Err(CliError::Usage(format!(

@@ -18,7 +18,9 @@
 //!
 //! Layout: one row-major accumulator per vertex holding the L per-labeling
 //! blocks back to back (`row(v) = [Z₀(v,·) | Z₁(v,·) | …]`), so a vertex's
-//! entire update footprint is one contiguous stripe.
+//! entire update footprint is one contiguous stripe. This module holds the
+//! serial fused pass and the layout; the parallel one is
+//! [`crate::kernels::embed_binned`], which is bit-identical to it.
 
 use gee_graph::EdgeList;
 
@@ -26,38 +28,26 @@ use crate::embedding::Embedding;
 use crate::labels::Labels;
 use crate::projection::Projection;
 
+/// One labeling's lane in a fused row: its column offset, labels and
+/// projection coefficients, hoisted out of the edge loop.
+pub(crate) type Lane<'a> = (usize, &'a [i32], &'a [f64]);
+
 /// Serial fused pass: bit-identical to running
-/// [`crate::serial_optimized::embed`] once per labeling.
+/// [`crate::serial_optimized::embed`] once per labeling. The parallel
+/// fused pass is [`crate::kernels::embed_binned`].
 pub fn embed_many(el: &EdgeList, labelings: &[&Labels]) -> Vec<Embedding> {
     let n = el.num_vertices();
-    for l in labelings {
-        assert_eq!(n, l.len(), "every labeling must cover every vertex");
-    }
-    let dims: Vec<usize> = labelings.iter().map(|l| l.num_classes()).collect();
-    let offsets: Vec<usize> = dims
-        .iter()
-        .scan(0usize, |acc, &k| {
-            let o = *acc;
-            *acc += k;
-            Some(o)
-        })
-        .collect();
-    let stride: usize = dims.iter().sum();
+    let offsets = offsets(n, labelings);
     let projections: Vec<Projection> = labelings
         .iter()
         .map(|l| Projection::build_serial(l))
         .collect();
-    // Hoist the per-labeling slices out of the edge loop.
-    let metas: Vec<(usize, &[i32], &[f64])> = labelings
-        .iter()
-        .zip(&projections)
-        .zip(&offsets)
-        .map(|((l, p), &off)| (off, l.raw_slice(), p.as_slice()))
-        .collect();
+    let lanes = lanes(labelings, &projections, &offsets);
+    let stride = offsets[labelings.len()];
     let mut z = vec![0.0f64; n * stride];
     for e in el.edges() {
         let (u, v, w) = (e.u as usize, e.v as usize, e.w);
-        for &(off, y, coeff) in &metas {
+        for &(off, y, coeff) in &lanes {
             let yv = y[v];
             if yv >= 0 {
                 z[u * stride + off + yv as usize] += coeff[v] * w;
@@ -68,90 +58,44 @@ pub fn embed_many(el: &EdgeList, labelings: &[&Labels]) -> Vec<Embedding> {
             }
         }
     }
-    unpack(z, n, stride, &offsets, &dims)
+    unpack(z, n, &offsets)
 }
 
-/// Parallel fused pass (deterministic): per-chunk contribution bins as in
-/// the propagation-blocking kernel, all labelings routed together.
-pub fn embed_many_parallel(el: &EdgeList, labelings: &[&Labels], bin_bits: u32) -> Vec<Embedding> {
-    use rayon::prelude::*;
-    let n = el.num_vertices();
+/// Each labeling's column offset in a fused row, then the row's width.
+pub(crate) fn offsets(n: usize, labelings: &[&Labels]) -> Vec<usize> {
+    let mut offsets = vec![0];
     for l in labelings {
         assert_eq!(n, l.len(), "every labeling must cover every vertex");
+        offsets.push(offsets[offsets.len() - 1] + l.num_classes());
     }
-    let dims: Vec<usize> = labelings.iter().map(|l| l.num_classes()).collect();
-    let offsets: Vec<usize> = dims
-        .iter()
-        .scan(0usize, |acc, &k| {
-            let o = *acc;
-            *acc += k;
-            Some(o)
-        })
-        .collect();
-    let stride: usize = dims.iter().sum();
-    if stride == 0 {
-        return dims.iter().map(|_| Embedding::zeros(n, 0)).collect();
-    }
-    let projections: Vec<Projection> = labelings
-        .iter()
-        .map(|l| Projection::build_parallel(l))
-        .collect();
-    let num_bins = (n >> bin_bits) + 1;
-    let chunk = 1usize << 16;
-    // Phase 1: route each edge's contributions (over all labelings) into
-    // per-chunk destination bins. Chunk boundaries are fixed, so the
-    // result is deterministic at any thread count.
-    let locals: Vec<Vec<Vec<(u64, f64)>>> = el
-        .edges()
-        .par_chunks(chunk)
-        .map(|es| {
-            let mut bins: Vec<Vec<(u64, f64)>> = vec![Vec::new(); num_bins];
-            for e in es {
-                let (u, v, w) = (e.u as usize, e.v as usize, e.w);
-                for (li, l) in labelings.iter().enumerate() {
-                    let y = l.raw_slice();
-                    let coeff = projections[li].as_slice();
-                    let yv = y[v];
-                    if yv >= 0 {
-                        let idx = (u * stride + offsets[li] + yv as usize) as u64;
-                        bins[u >> bin_bits].push((idx, coeff[v] * w));
-                    }
-                    let yu = y[u];
-                    if yu >= 0 {
-                        let idx = (v * stride + offsets[li] + yu as usize) as u64;
-                        bins[v >> bin_bits].push((idx, coeff[u] * w));
-                    }
-                }
-            }
-            bins
-        })
-        .collect();
-    // Phase 2: drain bins with exclusive ownership of their Z stripes.
-    let mut z = vec![0.0f64; n * stride];
-    let zp = SendPtr(z.as_mut_ptr());
-    (0..num_bins).into_par_iter().for_each(|b| {
-        for local in &locals {
-            for &(idx, val) in &local[b] {
-                // SAFETY: (idx / stride) >> bin_bits == b by construction
-                // and bin b has exactly one owner task.
-                unsafe { *zp.get().add(idx as usize) += val };
-            }
-        }
-    });
-    unpack(z, n, stride, &offsets, &dims)
+    offsets
 }
 
-/// Split the interleaved accumulator back into one embedding per labeling.
-fn unpack(
-    z: Vec<f64>,
-    n: usize,
-    stride: usize,
+/// The lanes of `labelings` under their `projections`.
+pub(crate) fn lanes<'a>(
+    labelings: &[&'a Labels],
+    projections: &'a [Projection],
     offsets: &[usize],
-    dims: &[usize],
-) -> Vec<Embedding> {
-    dims.iter()
+) -> Vec<Lane<'a>> {
+    labelings
+        .iter()
+        .zip(projections)
         .zip(offsets)
-        .map(|(&k, &off)| {
+        .map(|((l, p), &off)| (off, l.raw_slice(), p.as_slice()))
+        .collect()
+}
+
+/// Split the fused accumulator back into one embedding per labeling; a
+/// single labeling's rows are the fused rows.
+pub(crate) fn unpack(z: Vec<f64>, n: usize, offsets: &[usize]) -> Vec<Embedding> {
+    if let &[0, k] = offsets {
+        return vec![Embedding::from_vec(n, k, z)];
+    }
+    let stride = offsets[offsets.len() - 1];
+    offsets
+        .windows(2)
+        .map(|w| {
+            let (off, k) = (w[0], w[1] - w[0]);
             let mut data = Vec::with_capacity(n * k);
             for v in 0..n {
                 data.extend_from_slice(&z[v * stride + off..v * stride + off + k]);
@@ -161,19 +105,10 @@ fn unpack(
         .collect()
 }
 
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::embed_binned_with;
     use crate::serial_optimized;
     use gee_gen::LabelSpec;
 
@@ -215,7 +150,7 @@ mod tests {
         let refs: Vec<&Labels> = labelings.iter().collect();
         let serial = embed_many(&el, &refs);
         for bits in [6u32, 12] {
-            let parallel = embed_many_parallel(&el, &refs, bits);
+            let parallel = embed_binned_with(250, el.edges(), &refs, bits);
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.as_slice(), b.as_slice(), "bin_bits={bits}");
             }
@@ -238,7 +173,7 @@ mod tests {
     fn empty_labeling_list() {
         let el = gee_gen::erdos_renyi_gnm(10, 30, 1);
         assert!(embed_many(&el, &[]).is_empty());
-        assert!(embed_many_parallel(&el, &[], 8).is_empty());
+        assert!(embed_binned_with(10, el.edges(), &[], 8).is_empty());
     }
 
     #[test]
@@ -256,7 +191,7 @@ mod tests {
     fn all_unlabeled_labelings() {
         let el = gee_gen::erdos_renyi_gnm(20, 60, 3);
         let l = Labels::from_options(&[None; 20]);
-        let out = embed_many_parallel(&el, &[&l, &l], 4);
+        let out = embed_binned_with(20, el.edges(), &[&l, &l], 4);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].dim(), 0);
     }

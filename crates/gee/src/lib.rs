@@ -28,11 +28,12 @@
 //! Extensions beyond the paper's evaluation, from the GEE literature it
 //! builds on: the Laplacian variant ([`laplacian`]), unsupervised /
 //! iterative GEE clustering ([`unsupervised`]), a bit-reproducible
-//! parallel kernel ([`deterministic`]), and incremental maintenance under
-//! edge/label updates ([`dynamic`]).
+//! parallel kernel ([`kernels::embed_binned`], also behind the fused
+//! multi-labeling pass of [`batch`] and the out-of-core pass of
+//! [`streaming`]), and incremental maintenance under edge/label updates
+//! ([`dynamic`]).
 
 pub mod batch;
-pub mod deterministic;
 pub mod diagnostics;
 pub mod dynamic;
 pub mod embedding;

@@ -5,38 +5,24 @@
 //! edge list never needs to be resident: this module embeds directly from
 //! a [`gee_graph::io::edge_stream`] reader, holding only `Z` (`n×K`), the
 //! sparse projection (`n`), and one edge chunk in memory. Each chunk is
-//! processed either serially (bit-identical to `serial_optimized`) or with
-//! the same atomic edge-parallel kernel as GEE-Ligra.
+//! added by the propagation-blocking kernel, so the output is
+//! bit-identical to `serial_optimized` at any chunk size and thread count.
 
 use std::io::Read;
 
 use gee_graph::io::edge_stream::EdgeStreamReader;
 use gee_graph::Edge;
-use gee_ligra::{AtomicF64Vec, AtomicsMode};
-use rayon::prelude::*;
 
 use crate::embedding::Embedding;
+use crate::kernels;
 use crate::labels::Labels;
 use crate::projection::Projection;
-
-/// How each streamed chunk is processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkMode {
-    /// Sequential per chunk; output bit-identical to the in-memory serial
-    /// implementation.
-    #[default]
-    Serial,
-    /// Edge-parallel per chunk with atomic `writeAdd` (same kernel as
-    /// GEE-Ligra, scheduled over edges instead of source vertices).
-    Parallel,
-}
 
 /// Embed from a streamed edge file with O(nK + chunk) memory.
 pub fn embed_stream<R: Read>(
     reader: &mut EdgeStreamReader<R>,
     labels: &Labels,
     chunk_edges: usize,
-    mode: ChunkMode,
 ) -> gee_graph::Result<Embedding> {
     assert!(chunk_edges >= 1, "chunk size must be positive");
     assert_eq!(
@@ -47,53 +33,13 @@ pub fn embed_stream<R: Read>(
     let n = reader.num_vertices();
     let k = labels.num_classes();
     let proj = Projection::build_parallel(labels);
-    let coeff = proj.as_slice();
-    let y = labels.raw_slice();
+    let lane = (0, labels.raw_slice(), proj.as_slice());
+    let mut z = vec![0.0f64; n * k];
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk_edges);
-    match mode {
-        ChunkMode::Serial => {
-            let mut z = vec![0.0f64; n * k];
-            loop {
-                let got = reader.read_chunk(&mut buf, chunk_edges)?;
-                if got == 0 {
-                    break;
-                }
-                for e in &buf {
-                    let (u, v, wt) = (e.u as usize, e.v as usize, e.w);
-                    let yv = y[v];
-                    if yv >= 0 {
-                        z[u * k + yv as usize] += coeff[v] * wt;
-                    }
-                    let yu = y[u];
-                    if yu >= 0 {
-                        z[v * k + yu as usize] += coeff[u] * wt;
-                    }
-                }
-            }
-            Ok(Embedding::from_vec(n, k, z))
-        }
-        ChunkMode::Parallel => {
-            let z = AtomicF64Vec::zeros(n * k);
-            loop {
-                let got = reader.read_chunk(&mut buf, chunk_edges)?;
-                if got == 0 {
-                    break;
-                }
-                buf.par_iter().for_each(|e| {
-                    let (u, v, wt) = (e.u as usize, e.v as usize, e.w);
-                    let yv = y[v];
-                    if yv >= 0 {
-                        z.add(AtomicsMode::Atomic, u * k + yv as usize, coeff[v] * wt);
-                    }
-                    let yu = y[u];
-                    if yu >= 0 {
-                        z.add(AtomicsMode::Atomic, v * k + yu as usize, coeff[u] * wt);
-                    }
-                });
-            }
-            Ok(Embedding::from_vec(n, k, z.into_vec()))
-        }
+    while reader.read_chunk(&mut buf, chunk_edges)? > 0 {
+        kernels::add_binned(&mut z, k, &buf, [lane], kernels::BIN_BITS);
     }
+    Ok(Embedding::from_vec(n, k, z))
 }
 
 #[cfg(test)]
@@ -120,23 +66,22 @@ mod tests {
     }
 
     #[test]
-    fn serial_stream_bit_identical_to_in_memory() {
+    fn stream_bit_identical_to_in_memory() {
         let (el, labels, bytes) = setup(300, 4000, 3);
         let expected = serial_optimized::embed(&el, &labels);
-        for chunk in [1usize, 7, 100, 4000, 10_000] {
-            let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
-            let z = embed_stream(&mut r, &labels, chunk, ChunkMode::Serial).unwrap();
-            assert_eq!(z.as_slice(), expected.as_slice(), "chunk size {chunk}");
+        let m = el.num_edges();
+        for chunk in [1usize, 7, 100, m, 10 * m] {
+            for threads in [1, 3] {
+                let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
+                let z = gee_ligra::with_threads(threads, || embed_stream(&mut r, &labels, chunk))
+                    .unwrap();
+                assert_eq!(
+                    z.as_slice(),
+                    expected.as_slice(),
+                    "chunk size {chunk}, {threads} threads"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn parallel_stream_matches_within_tolerance() {
-        let (el, labels, bytes) = setup(500, 10_000, 9);
-        let expected = serial_optimized::embed(&el, &labels);
-        let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
-        let z = embed_stream(&mut r, &labels, 1 << 12, ChunkMode::Parallel).unwrap();
-        expected.assert_close(&z, 1e-9);
     }
 
     #[test]
@@ -146,7 +91,7 @@ mod tests {
         let mut bytes = Vec::new();
         edge_stream::write(&mut bytes, &el).unwrap();
         let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
-        let z = embed_stream(&mut r, &labels, 16, ChunkMode::Serial).unwrap();
+        let z = embed_stream(&mut r, &labels, 16).unwrap();
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -155,6 +100,6 @@ mod tests {
         let (_, labels, mut bytes) = setup(100, 1000, 5);
         bytes.truncate(bytes.len() / 2);
         let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
-        assert!(embed_stream(&mut r, &labels, 1 << 8, ChunkMode::Serial).is_err());
+        assert!(embed_stream(&mut r, &labels, 1 << 8).is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! Bit-reproducible parallel GEE: the atomic kernel's output depends on
-//! the scheduler's addition order; the deterministic kernel's does not.
+//! the scheduler's addition order; the propagation-blocking kernel's does
+//! not.
 //!
 //! ```text
 //! cargo run --release --example deterministic_embedding
@@ -7,7 +8,7 @@
 
 use std::time::Instant;
 
-use gee_core::{deterministic, serial_reference};
+use gee_core::{kernels, serial_reference};
 use gee_repro::prelude::*;
 
 fn main() {
@@ -27,24 +28,23 @@ fn main() {
     let atomic = gee_core::ligra::embed(&g, &labels, AtomicsMode::Atomic);
     println!("atomic writeAdd kernel: {:?}", t1.elapsed());
 
+    let binned = || kernels::embed_binned(el.num_vertices(), el.edges(), &[&labels]);
     let t2 = Instant::now();
-    let _det = deterministic::embed(el.num_vertices(), el.edges(), &labels);
-    println!("deterministic sort-reduce kernel: {:?}", t2.elapsed());
+    let _ = binned();
+    println!("propagation-blocking kernel: {:?}", t2.elapsed());
 
     // The atomic kernel is correct to FP-reordering tolerance…
     reference.assert_close(&atomic, 1e-9);
     let atomic_drift = reference.max_abs_diff(&atomic);
-    // …while the deterministic kernel is bit-exact at any thread count.
+    // …while the binned kernel is bit-exact at any thread count.
     for threads in [1, 2, 4] {
-        let z = with_threads(threads, || {
-            deterministic::embed(el.num_vertices(), el.edges(), &labels)
-        });
+        let z = with_threads(threads, binned);
         assert_eq!(
-            z.as_slice(),
+            z[0].as_slice(),
             reference.as_slice(),
             "bit mismatch at {threads} threads"
         );
     }
     println!("atomic kernel drift from serial: {atomic_drift:.3e} (FP reordering)");
-    println!("deterministic kernel: bit-identical to serial at 1, 2 and 4 threads ✓");
+    println!("propagation-blocking kernel: bit-identical to serial at 1, 2 and 4 threads ✓");
 }
