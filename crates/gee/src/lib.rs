@@ -47,6 +47,59 @@ pub mod serial_reference;
 pub mod streaming;
 pub mod unsupervised;
 
+/// The bit-reproducibility contract of the deterministic path
+/// ([`kernels::embed_binned`], what `gee embed --impl deterministic`
+/// runs): bit-identical to the serial reference at any thread count.
+#[cfg(test)]
+mod deterministic {
+    mod tests {
+        use crate::{kernels, serial_reference, Embedding, Labels};
+        use gee_gen::LabelSpec;
+        use gee_graph::EdgeList;
+
+        fn setup(n: usize, m: usize, seed: u64, frac: f64) -> (EdgeList, Labels) {
+            let el = gee_gen::erdos_renyi_gnm(n, m, seed);
+            let labels = Labels::from_options(&gee_gen::random_labels(
+                n,
+                LabelSpec {
+                    num_classes: 6,
+                    labeled_fraction: frac,
+                },
+                seed ^ 0xBEEF,
+            ));
+            (el, labels)
+        }
+
+        fn embed(el: &EdgeList, labels: &Labels) -> Embedding {
+            kernels::embed_binned(el.num_vertices(), el.edges(), &[labels])
+                .pop()
+                .unwrap()
+        }
+
+        #[test]
+        fn bit_identical_to_reference() {
+            let (el, labels) = setup(400, 4000, 9, 0.3);
+            let a = serial_reference::embed(&el, &labels);
+            let b = embed(&el, &labels);
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+
+        #[test]
+        fn bit_identical_across_thread_counts() {
+            let (el, labels) = setup(300, 3000, 21, 0.5);
+            let reference = serial_reference::embed(&el, &labels);
+            for threads in [1, 2, 4, 7] {
+                let z = gee_ligra::with_threads(threads, || embed(&el, &labels));
+                assert_eq!(
+                    reference.as_slice(),
+                    z.as_slice(),
+                    "bit mismatch at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
 pub use dynamic::{DynamicGee, DynamicGeeState};
 pub use embedding::Embedding;
 pub use gee_ligra::AtomicsMode;

@@ -66,12 +66,24 @@ mod tests {
     }
 
     #[test]
-    fn stream_bit_identical_to_in_memory() {
+    fn serial_stream_bit_identical_to_in_memory() {
         let (el, labels, bytes) = setup(300, 4000, 3);
         let expected = serial_optimized::embed(&el, &labels);
-        let m = el.num_edges();
-        for chunk in [1usize, 7, 100, m, 10 * m] {
-            for threads in [1, 3] {
+        for chunk in [1usize, 7, 100, 4000, 10_000] {
+            let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
+            let z = gee_ligra::with_threads(1, || embed_stream(&mut r, &labels, chunk)).unwrap();
+            assert_eq!(z.as_slice(), expected.as_slice(), "chunk size {chunk}");
+        }
+    }
+
+    /// Each chunk goes through the binned kernel, so the parallel stream
+    /// matches within a tolerance of zero: bit for bit.
+    #[test]
+    fn parallel_stream_matches_within_tolerance() {
+        let (el, labels, bytes) = setup(500, 10_000, 9);
+        let expected = serial_optimized::embed(&el, &labels);
+        for chunk in [7usize, 1 << 12, 10_000] {
+            for threads in [2, 3] {
                 let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
                 let z = gee_ligra::with_threads(threads, || embed_stream(&mut r, &labels, chunk))
                     .unwrap();

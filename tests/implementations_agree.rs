@@ -131,14 +131,6 @@ fn er_setup(n: usize, m: usize, seed: u64, frac: f64) -> (EdgeList, Labels) {
 }
 
 #[test]
-fn binned_bit_exact_at_1_2_4_7_threads() {
-    let (el, labels) = er_setup(400, 4000, 9, 0.3);
-    assert_binned_bit_exact(&el, &labels, &[1, 2, 4, 7]);
-    let (el, labels) = er_setup(300, 3000, 21, 0.5);
-    assert_binned_bit_exact(&el, &labels, &[1, 2, 4, 7]);
-}
-
-#[test]
 fn agree_on_weighted_self_loops_and_duplicates_by_hand() {
     // A labelled self-loop adds both of its contributions to one `Z`
     // entry; the repeated (0, 1) adds twice to two entries.
