@@ -53,11 +53,16 @@
 //! snapshots **bit-identical** to the pre-crash process (same
 //! floating-point accumulation order, same adjacency order, same
 //! epochs) — `tests/durability.rs` proves it query-by-query. Replay
-//! runs the same dirty-tracking apply path as live traffic, so the
-//! recovered history ring has the same per-shard sharing structure and
-//! the same retained epochs as the uninterrupted process (given the
-//! same [`HistoryPolicy`]); epochs older than the replayed tail are
-//! gone — history is in-memory, not logged.
+//! runs the same dirty-tracking apply loop as live traffic, but
+//! materializes only the epochs the history ring still holds when
+//! recovery returns: the last [`HistoryPolicy::keep`] publishes of each
+//! graph. For those *retained* epochs the recovered ring has the same
+//! epochs, the same bits and the same per-shard sharing structure as the
+//! uninterrupted process (given the same [`HistoryPolicy`]). Earlier
+//! replayed epochs are applied to the writer and never materialized —
+//! the first retained epoch is published over their union of dirty
+//! shards — and, like epochs older than the replayed tail, answer
+//! [`ServeError::EpochEvicted`]: history is in-memory, not logged.
 //!
 //! Durable mutations serialize on one log lock (WAL order must equal
 //! apply order); reads never touch it. `queries_served` is a read-side
@@ -263,14 +268,32 @@ impl Entry {
         }
     }
 
-    /// Push the next epoch and evict beyond the retention bound.
-    fn publish(&self, snapshot: Arc<Snapshot>) {
+    /// Publish the epoch `skipped + 1` past the published one,
+    /// copy-on-write over it (rebuilding the blocks `dirty` names), and
+    /// evict beyond the retention bound. Live writes pass `skipped = 0`.
+    /// Recovery passes the count of replayed epochs it applied without
+    /// materializing, with `dirty` their union: those epochs, and every
+    /// one the ring still holds, are evicted by definition, so the ring
+    /// restarts at the new epoch.
+    fn publish_next(&self, writer: &DynamicGee, dirty: &Dirty, skipped: u64) -> Arc<Snapshot> {
+        let parent = self.snapshot();
+        let snapshot = Arc::new(publish_cow(
+            writer,
+            &self.layout,
+            parent.epoch + skipped + 1,
+            &parent,
+            dirty,
+        ));
         let mut ring = self.history.write().expect("history lock poisoned");
+        if skipped > 0 {
+            ring.clear();
+        }
         debug_assert!(ring.back().is_none_or(|b| b.epoch + 1 == snapshot.epoch));
-        ring.push_back(snapshot);
+        ring.push_back(snapshot.clone());
         while ring.len() > self.keep {
             ring.pop_front();
         }
+        snapshot
     }
 }
 
@@ -583,17 +606,32 @@ impl Registry {
                 );
             }
         }
-        for (lsn, record) in &scan.records {
+        // Materialize only the epochs the ring will still hold: the rest
+        // are applied to the writers and evicted before anyone could
+        // read them.
+        let plan = retention_plan(&scan.records, min_lsn, history.keep);
+        let mut deferred = HashMap::new();
+        for ((lsn, record), publish) in scan.records.iter().zip(plan) {
             if *lsn < min_lsn {
                 continue;
             }
-            replay(&mut entries, record, history, backpressure).map_err(|detail| {
-                ServeError::Corrupt {
-                    path: dir.display().to_string(),
-                    detail: format!("replaying lsn {lsn}: {detail}"),
-                }
+            replay(
+                &mut entries,
+                &mut deferred,
+                record,
+                publish,
+                history,
+                backpressure,
+            )
+            .map_err(|detail| ServeError::Corrupt {
+                path: dir.display().to_string(),
+                detail: format!("replaying lsn {lsn}: {detail}"),
             })?;
         }
+        debug_assert!(
+            deferred.is_empty(),
+            "every live graph's last replayed record is retained"
+        );
         let mut writer = WalWriter::open(&dir, sync, &scan)?;
         // Replica bootstrap crash window #2: the shipped checkpoint hit
         // disk but the log reset did not finish — the surviving log is
@@ -1059,11 +1097,12 @@ impl Registry {
 
     /// Apply one record shipped by the leader: durably append it at
     /// exactly the expected LSN, then run it through the same `replay`
-    /// path recovery uses — which publishes through the live entries
-    /// map, so followers re-materialize the leader's epochs with
-    /// identical dirty-tracking structure (fingerprint-identical
-    /// snapshots). The follower takes its own checkpoints on its own
-    /// cadence, exactly like a leader applying live traffic.
+    /// path recovery uses — but publishing every record, through the
+    /// live entries map, so followers materialize each of the leader's
+    /// epochs with identical dirty-tracking structure
+    /// (fingerprint-identical snapshots, epoch by epoch). The follower
+    /// takes its own checkpoints on its own cadence, exactly like a
+    /// leader applying live traffic.
     pub(crate) fn apply_replicated(&self, lsn: u64, record: &WalRecord) -> Result<(), ServeError> {
         let durable = self
             .durable
@@ -1080,11 +1119,17 @@ impl Registry {
         log.writer.append(record)?;
         {
             let mut entries = self.entries.write().expect("registry lock poisoned");
-            replay(&mut entries, record, self.history, self.backpressure).map_err(|detail| {
-                ServeError::Corrupt {
-                    path: log.dir.display().to_string(),
-                    detail: format!("applying replicated lsn {lsn}: {detail}"),
-                }
+            replay(
+                &mut entries,
+                &mut HashMap::new(),
+                record,
+                true,
+                self.history,
+                self.backpressure,
+            )
+            .map_err(|detail| ServeError::Corrupt {
+                path: log.dir.display().to_string(),
+                detail: format!("applying replicated lsn {lsn}: {detail}"),
             })?;
         }
         self.bump_and_maybe_checkpoint(&mut log)?;
@@ -1385,16 +1430,31 @@ impl Dirty {
 }
 
 /// Apply a validated batch and publish the next epoch copy-on-write.
-/// Shared verbatim by the live path and WAL replay, which is what makes
-/// replay bit-exact *and* structure-exact (same blocks rebuilt, same
-/// blocks shared).
 fn apply_batch(
     entry: &Entry,
     writer: &mut DynamicGee,
     updates: &[Update],
 ) -> (usize, Arc<Snapshot>) {
-    let layout = &entry.layout;
-    let mut dirty = Dirty::clean(layout.num_shards());
+    let mut dirty = Dirty::clean(entry.layout.num_shards());
+    let applied = apply_ops(&entry.layout, writer, updates, &mut dirty);
+    let snapshot = entry.publish_next(writer, &dirty, 0);
+    entry
+        .updates_applied
+        .fetch_add(applied as u64, Ordering::Relaxed);
+    (applied, snapshot)
+}
+
+/// Apply a validated batch to the writer, marking in `dirty` (never
+/// clearing) the shards it invalidates; returns the updates that took
+/// effect. Shared verbatim by the live path and WAL replay, which is
+/// what makes replay bit-exact *and* structure-exact (same blocks
+/// rebuilt, same blocks shared).
+fn apply_ops(
+    layout: &ShardLayout,
+    writer: &mut DynamicGee,
+    updates: &[Update],
+    dirty: &mut Dirty,
+) -> usize {
     let mut applied = 0usize;
     for u in updates {
         match *u {
@@ -1424,30 +1484,68 @@ fn apply_batch(
             }
         }
     }
-    let parent = entry.snapshot();
-    let snapshot = Arc::new(publish_cow(
-        writer,
-        layout,
-        parent.epoch + 1,
-        &parent,
-        &dirty,
-    ));
-    entry.publish(snapshot.clone());
-    entry
-        .updates_applied
-        .fetch_add(applied as u64, Ordering::Relaxed);
-    (applied, snapshot)
+    applied
 }
 
-/// Apply one WAL record to the recovering entry map. Errors are strings;
-/// the caller wraps them with the offending LSN into
+/// Which replayed records recovery materializes, one flag per record of
+/// `records`: `true` for a publish whose epoch the history ring still
+/// holds when recovery returns — fewer than `keep` publishes of the same
+/// graph lineage follow it. A `Register` publishes epoch 0 of a new
+/// lineage and ends the previous one; a `Deregister` ends one and
+/// publishes nothing. Records below `min_lsn` (covered by the
+/// checkpoint) are not replayed and get `false`.
+pub(crate) fn retention_plan(records: &[(u64, WalRecord)], min_lsn: u64, keep: usize) -> Vec<bool> {
+    // Publishes of each name's live lineage after the current record,
+    // saturated at `keep`; an ended lineage reads `keep`.
+    let mut later: HashMap<&str, usize> = HashMap::new();
+    let mut plan = vec![false; records.len()];
+    for (i, (lsn, record)) in records.iter().enumerate().rev() {
+        if *lsn < min_lsn {
+            continue;
+        }
+        let later = later.entry(record.graph()).or_insert(0);
+        match record {
+            WalRecord::Register { .. } => {
+                plan[i] = *later < keep;
+                *later = keep;
+            }
+            WalRecord::Batch { .. } => {
+                plan[i] = *later < keep;
+                *later = (*later + 1).min(keep);
+            }
+            WalRecord::Deregister { .. } => *later = keep,
+        }
+    }
+    plan
+}
+
+/// A recovering graph's replayed batches that were applied to its
+/// writer but not materialized: their count and union of dirty shards.
+struct Deferred {
+    epochs: u64,
+    dirty: Dirty,
+}
+
+/// Apply one WAL record to the recovering entry map. A batch with
+/// `publish` unset is applied to the writer only and its epoch deferred
+/// in `deferred`; the graph's next published batch then publishes over
+/// every deferred epoch at once. A `Register` always materializes its
+/// epoch 0, the parent of the lineage's first published batch. Errors
+/// are strings; the caller wraps them with the offending LSN into
 /// [`ServeError::Corrupt`].
 fn replay(
     entries: &mut HashMap<String, Arc<Entry>>,
+    deferred: &mut HashMap<String, Deferred>,
     record: &WalRecord,
+    publish: bool,
     history: HistoryPolicy,
     backpressure: BackpressurePolicy,
 ) -> Result<(), String> {
+    if !matches!(record, WalRecord::Batch { .. }) {
+        // A (re-)registration or removal ends the lineage whose epochs
+        // were deferred.
+        deferred.remove(record.graph());
+    }
     match record {
         WalRecord::Register {
             name,
@@ -1492,7 +1590,20 @@ fn replay(
                 .clone();
             let mut writer = entry.writer.lock().expect("writer lock poisoned");
             validate_batch(&writer, updates).map_err(|e| format!("invalid logged batch: {e}"))?;
-            apply_batch(&entry, &mut writer, updates);
+            let mut pending = deferred.remove(name).unwrap_or_else(|| Deferred {
+                epochs: 0,
+                dirty: Dirty::clean(entry.layout.num_shards()),
+            });
+            let applied = apply_ops(&entry.layout, &mut writer, updates, &mut pending.dirty);
+            if publish {
+                entry.publish_next(&writer, &pending.dirty, pending.epochs);
+            } else {
+                pending.epochs += 1;
+                deferred.insert(name.clone(), pending);
+            }
+            entry
+                .updates_applied
+                .fetch_add(applied as u64, Ordering::Relaxed);
             Ok(())
         }
         WalRecord::Deregister { name } => match entries.remove(name) {
@@ -1877,6 +1988,131 @@ mod tests {
             .apply_updates("g", &[Update::InsertEdge { u: 0, v: 1, w: 1.0 }])
             .unwrap();
         assert_eq!((applied, snap.epoch), (1, 1));
+    }
+
+    fn register(name: &str) -> WalRecord {
+        WalRecord::Register {
+            name: name.into(),
+            shards: 1,
+            num_vertices: 0,
+            num_classes: 1,
+            labels: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    fn batch(name: &str) -> WalRecord {
+        WalRecord::Batch {
+            name: name.into(),
+            updates: Vec::new(),
+        }
+    }
+
+    fn deregister(name: &str) -> WalRecord {
+        WalRecord::Deregister { name: name.into() }
+    }
+
+    /// The retention plan of `records` logged at LSNs 0, 1, 2, ….
+    fn plan(records: Vec<WalRecord>, min_lsn: u64, keep: usize) -> Vec<bool> {
+        let records: Vec<(u64, WalRecord)> = (0..).zip(records).collect();
+        retention_plan(&records, min_lsn, keep)
+    }
+
+    #[test]
+    fn retention_plan_keeps_the_last_keep_publishes() {
+        // A checkpointed graph's tail: keep − 1 and keep batches are all
+        // retained; keep + 1 evicts exactly the first.
+        let keep = 3;
+        for (tail, want) in [
+            (keep - 1, vec![true; keep - 1]),
+            (keep, vec![true; keep]),
+            (keep + 1, vec![false, true, true, true]),
+        ] {
+            assert_eq!(plan(vec![batch("g"); tail], 0, keep), want, "{tail}");
+        }
+        // The registration is a publish too: epoch 0 is the keep-th
+        // newest of R B B, and evicted under R B B B.
+        assert_eq!(
+            plan(vec![register("g"), batch("g"), batch("g")], 0, keep),
+            vec![true; 3]
+        );
+        assert_eq!(
+            plan(
+                vec![register("g"), batch("g"), batch("g"), batch("g")],
+                0,
+                keep
+            ),
+            vec![false, true, true, true]
+        );
+    }
+
+    #[test]
+    fn retention_plan_with_keep_one_publishes_each_lineages_last_record() {
+        assert_eq!(
+            plan(vec![batch("g"), batch("g"), batch("g")], 0, 1),
+            vec![false, false, true]
+        );
+        assert_eq!(
+            plan(vec![register("g"), batch("g"), batch("g")], 0, 1),
+            vec![false, false, true]
+        );
+        assert_eq!(plan(vec![register("g")], 0, 1), vec![true]);
+    }
+
+    #[test]
+    fn retention_plan_counts_each_graph_apart() {
+        // g: 3 batches, h: 4 batches, interleaved; keep 2 of each.
+        let records = ["g", "g", "h", "g", "h", "h", "h"].map(batch).to_vec();
+        assert_eq!(
+            plan(records, 0, 2),
+            vec![false, true, false, true, false, true, true]
+        );
+    }
+
+    #[test]
+    fn retention_plan_ends_a_lineage_at_deregister_and_reregister() {
+        // The first lineage of g is gone when recovery returns; the
+        // second one starts at its Register.
+        assert_eq!(
+            plan(
+                vec![
+                    register("g"),
+                    batch("g"),
+                    deregister("g"),
+                    register("g"),
+                    batch("g")
+                ],
+                0,
+                2
+            ),
+            vec![false, false, false, true, true]
+        );
+        assert_eq!(
+            plan(vec![batch("g"), batch("g"), deregister("g")], 0, 8),
+            vec![false; 3]
+        );
+        // A Register replaces the lineage before it even without a
+        // Deregister; another graph's lineage is untouched.
+        assert_eq!(
+            plan(
+                vec![batch("g"), batch("h"), register("g"), batch("g")],
+                0,
+                8
+            ),
+            vec![false, true, true, true]
+        );
+    }
+
+    #[test]
+    fn retention_plan_skips_records_the_checkpoint_covers() {
+        assert_eq!(
+            plan(vec![batch("g"); 5], 2, 8),
+            vec![false, false, true, true, true]
+        );
+        assert_eq!(
+            plan(vec![register("g"), batch("g"), batch("g")], 1, 1),
+            vec![false, false, true]
+        );
     }
 
     #[test]

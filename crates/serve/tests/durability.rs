@@ -758,6 +758,125 @@ fn cow_history_replay_recovers_retained_epochs_bit_identically() {
     ));
 }
 
+/// What a graph's retained history shows a reader: the epoch range,
+/// every retained epoch's fingerprint, the CoW sharing between
+/// consecutive retained epochs, and the `updates_applied` counter.
+type RetainedView = ((u64, u64), Vec<u64>, Vec<(u64, Vec<bool>, Vec<bool>)>, u64);
+
+fn retained_view(reg: &Arc<Registry>, name: &str) -> RetainedView {
+    let range = reg.epoch_range(name).unwrap();
+    let fps = (range.0..=range.1)
+        .map(|e| snapshot_fingerprint(&reg.snapshot_at(name, e).unwrap()))
+        .collect();
+    let applied = Engine::new(reg.clone())
+        .stats(name)
+        .unwrap()
+        .updates_applied;
+    (range, fps, sharing_pattern(reg, name), applied)
+}
+
+#[test]
+fn recovery_past_a_long_tail_materializes_only_the_retained_epochs() {
+    // A checkpoint, then a tail longer than the ring: recovery applies
+    // the first tail batches (a label move among them) to the writer
+    // only and materializes the last `keep` epochs (single-shard edge
+    // batches among them). A second graph is deregistered and
+    // re-registered inside the tail. Every retained epoch must match the
+    // uninterrupted process; the skipped ones are evicted.
+    let h = CrashHarness::new("retained_tail", 8, 1_000);
+    let config = || gee_serve::RegistryConfig {
+        default_shards: SHARDS,
+        history: gee_serve::HistoryPolicy::keep(4),
+        backpressure: gee_serve::BackpressurePolicy::default(),
+        durability: h.durability(),
+        search: gee_serve::SearchPolicy::Exact,
+    };
+    let live = Arc::new(Registry::with_config(config()).unwrap());
+    live.register("g", &h.el, &h.labels).unwrap();
+    live.register("h", &h.el, &h.labels).unwrap();
+    live.apply_updates("g", &h.batches[0]).unwrap();
+    live.checkpoint_now().unwrap().unwrap();
+
+    let apply = |name: &str, batch: &[Update]| {
+        live.apply_updates(name, batch).unwrap();
+    };
+    // An edge inside the shard starting at `lo`, from a vertex labelled
+    // now, so the rows it dirties really change.
+    let single_shard = |lo: u32| {
+        let snap = live.snapshot("g").unwrap();
+        let u = (lo..lo + 19).find(|&u| snap.label(u).is_some()).unwrap();
+        vec![Update::InsertEdge {
+            u,
+            v: u + 1,
+            w: 0.5,
+        }]
+    };
+    // Skipped on recovery: 6 batches of g, one of them a label move.
+    let v = 25u32; // shard 1 of 3 × 20
+    let moved = live
+        .snapshot("g")
+        .unwrap()
+        .label(v)
+        .map_or(0, |c| (c + 1) % K as u32);
+    apply("g", &h.batches[1]);
+    apply("h", &h.batches[1]);
+    apply(
+        "g",
+        &[Update::SetLabel {
+            v,
+            label: Some(moved),
+        }],
+    );
+    apply("g", &single_shard(40));
+    apply("g", &h.batches[2]);
+    apply("h", &h.batches[2]);
+    apply("g", &h.batches[3]);
+    apply("g", &h.batches[4]);
+    // Retained on recovery: g's last 4 batches, single-shard edge
+    // batches among them.
+    apply("g", &single_shard(0));
+    apply("g", &h.batches[5]);
+    apply("g", &single_shard(20));
+    apply("g", &single_shard(40));
+    // h's second lineage: epoch 0 and 5 batches, so it evicts too.
+    assert!(live.deregister("h").unwrap());
+    live.register("h", &h.el, &h.labels).unwrap();
+    for batch in &h.batches[3..8] {
+        apply("h", batch);
+    }
+
+    let live_g = retained_view(&live, "g");
+    let live_h = retained_view(&live, "h");
+    assert_eq!(live_g.0, (8, 11), "11 epochs published, 4 retained");
+    assert_eq!(live_h.0, (2, 5), "the new lineage's 6 epochs, 4 retained");
+    let distinct: std::collections::HashSet<u64> = live_g.1.iter().copied().collect();
+    assert_eq!(distinct.len(), 4, "every retained batch of g changes rows");
+    assert!(
+        live_g
+            .2
+            .iter()
+            .any(|(_, blocks, _)| blocks.iter().filter(|&&shared| shared).count() == SHARDS - 1),
+        "a single-shard batch shares every other block: {:?}",
+        live_g.2
+    );
+    let evicted = live.snapshot_at("g", 7).unwrap_err();
+    assert!(matches!(
+        evicted,
+        ServeError::EpochEvicted {
+            epoch: 7,
+            oldest: 8,
+            newest: 11,
+            ..
+        }
+    ));
+    drop(live); // clean close; the WAL holds the tail past the checkpoint
+
+    let recovered = Arc::new(Registry::with_config(config()).unwrap());
+    assert_eq!(retained_view(&recovered, "g"), live_g);
+    assert_eq!(retained_view(&recovered, "h"), live_h);
+    assert_eq!(recovered.snapshot_at("g", 7).unwrap_err(), evicted);
+}
+
 #[test]
 fn pinned_reads_survive_crash_recovery_byte_identically() {
     // Kill the process (torn tail) and recover: at_epoch reads of every

@@ -7,10 +7,21 @@
 //! ```
 
 use std::io::{BufReader, BufWriter};
+use std::path::PathBuf;
 
 use gee_repro::core::streaming::embed_stream;
 use gee_repro::graph::io::edge_stream::{self, EdgeStreamReader};
 use gee_repro::prelude::*;
+
+/// Removes the spill file when dropped, so it goes away even when an
+/// assertion below panics.
+struct SpillFile(PathBuf);
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
 
 fn main() {
     let n = 500_000;
@@ -23,14 +34,15 @@ fn main() {
     );
 
     // Spill the edges to disk (16 bytes per edge).
-    let path = std::env::temp_dir().join("gee_stream_demo.edges");
+    let spill = SpillFile(std::env::temp_dir().join("gee_stream_demo.edges"));
+    let path = &spill.0;
     let t0 = std::time::Instant::now();
     edge_stream::write(
-        BufWriter::new(std::fs::File::create(&path).expect("create")),
+        BufWriter::new(std::fs::File::create(path).expect("create")),
         &el,
     )
     .expect("write stream");
-    let bytes = std::fs::metadata(&path).expect("stat").len();
+    let bytes = std::fs::metadata(path).expect("stat").len();
     println!(
         "wrote {} ({:.1} MiB) in {:.2?}",
         path.display(),
@@ -48,7 +60,7 @@ fn main() {
     for chunk in [1usize << 16, 1 << 20] {
         let t0 = std::time::Instant::now();
         let mut reader =
-            EdgeStreamReader::new(BufReader::new(std::fs::File::open(&path).expect("open")))
+            EdgeStreamReader::new(BufReader::new(std::fs::File::open(path).expect("open")))
                 .expect("header");
         let z = embed_stream(&mut reader, &labels, chunk).expect("stream embed");
         let dt = t0.elapsed();
