@@ -3,7 +3,6 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use gee_community::{leiden, louvain, modularity, LeidenOptions, LouvainOptions, Partition};
 use gee_core::{AtomicsMode, Labels};
 use gee_gen::{LabelSpec, RmatParams, SbmParams};
 use gee_graph::{stats::graph_stats, CsrGraph};
@@ -22,9 +21,6 @@ subcommands:
   stats        <file>
   embed        --graph <file> --out <csv> [--k K=50] [--labeled F=0.1]
                [--impl ligra|ligra-serial|optimized|reference|deterministic] [--threads T] [--seed S]
-  communities  --graph <file> [--algo leiden|louvain] [--gamma G=1.0]
-  analyze      --graph <file> --algo <cc|pagerank|kcore|sssp|bfs|triangles|
-                                       matching|dominating-set|densest> [--source V=0]
   serve        --graph <file> (--script <file> | --listen ADDR) [--k K=50] [--labeled F=0.1]
                [--shards S=4] [--seed S=42] [--history N=1] [--max-pending N]
                [--index exact|ivf] [--nprobe N=8] [--refine R=8]
@@ -100,8 +96,6 @@ pub fn run(args: &[String]) -> crate::Result<String> {
         "generate" => generate(&flags),
         "stats" => stats(&flags),
         "embed" => embed(&flags),
-        "communities" => communities(&flags),
-        "analyze" => analyze(&flags),
         "serve" => serve(&flags),
         "query" => query(&flags),
         "bench" => bench(&flags),
@@ -283,138 +277,6 @@ fn embed(flags: &Flags) -> crate::Result<String> {
         z.dim(),
         out_path
     ))
-}
-
-fn communities(flags: &Flags) -> crate::Result<String> {
-    let graph_path = flags.require("graph")?.to_string();
-    let algo = flags.get("algo").unwrap_or("leiden");
-    let gamma: f64 = flags.get_parsed("gamma", 1.0)?;
-    let el = read_graph(Path::new(&graph_path))?.symmetrized();
-    let g = CsrGraph::from_edge_list(&el);
-    let t0 = std::time::Instant::now();
-    let p: Partition = match algo {
-        "louvain" => louvain(
-            &g,
-            LouvainOptions {
-                gamma,
-                ..Default::default()
-            },
-        ),
-        "leiden" => leiden(
-            &g,
-            LeidenOptions {
-                gamma,
-                ..Default::default()
-            },
-        ),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --algo {other:?} (louvain|leiden)"
-            )))
-        }
-    };
-    let dt = t0.elapsed();
-    let q = modularity(&g, &p, gamma);
-    let mut sizes = p.community_sizes();
-    sizes.sort_unstable_by(|a, b| b.cmp(a));
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{algo} on {graph_path} (γ = {gamma}): {} communities, modularity {q:.4}, {dt:.2?}",
-        p.num_communities()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "largest communities: {:?}",
-        &sizes[..sizes.len().min(10)]
-    )
-    .unwrap();
-    if let Some(out_path) = flags.get("out") {
-        let mut csv = String::new();
-        for (v, &c) in p.membership().iter().enumerate() {
-            writeln!(csv, "{v},{c}").unwrap();
-        }
-        std::fs::write(out_path, csv)?;
-        writeln!(out, "membership written to {out_path}").unwrap();
-    }
-    Ok(out)
-}
-
-fn analyze(flags: &Flags) -> crate::Result<String> {
-    let graph_path = flags.require("graph")?.to_string();
-    let algo = flags.require("algo")?.to_string();
-    let source: u32 = flags.get_parsed("source", 0u32)?;
-    // The engine algorithms assume symmetric inputs where noted; analyze
-    // symmetrizes uniformly so every algorithm sees the undirected graph.
-    let el = read_graph(Path::new(&graph_path))?.symmetrized();
-    let g = CsrGraph::from_edge_list(&el);
-    let t0 = std::time::Instant::now();
-    let mut out = String::new();
-    match algo.as_str() {
-        "cc" => {
-            let comp = gee_algos::connected_components(&g);
-            let mut roots: Vec<u32> = comp.clone();
-            roots.sort_unstable();
-            roots.dedup();
-            writeln!(out, "connected components: {}", roots.len()).unwrap();
-        }
-        "pagerank" => {
-            let pr = gee_algos::pagerank(&g, gee_algos::PageRankOptions::default());
-            let mut top: Vec<(u32, f64)> =
-                pr.iter().enumerate().map(|(v, &r)| (v as u32, r)).collect();
-            top.sort_by(|a, b| b.1.total_cmp(&a.1));
-            writeln!(out, "top-5 PageRank: {:?}", &top[..top.len().min(5)]).unwrap();
-        }
-        "kcore" => {
-            let core = gee_algos::kcore_bucketed(&g);
-            let max = core.iter().copied().max().unwrap_or(0);
-            writeln!(out, "degeneracy (max core): {max}").unwrap();
-        }
-        "sssp" => {
-            let d = gee_algos::delta_stepping(&g, source, gee_algos::suggest_delta(&g));
-            let reached = d.iter().filter(|x| x.is_finite()).count();
-            let ecc = d.iter().filter(|x| x.is_finite()).fold(0.0f64, |a, &b| a.max(b));
-            writeln!(out, "sssp from {source}: {reached} reachable, eccentricity {ecc:.3}").unwrap();
-        }
-        "bfs" => {
-            let d = gee_algos::bfs_distances(&g, source);
-            let reached = d.iter().filter(|&&x| x != u32::MAX).count();
-            let depth = d.iter().filter(|&&x| x != u32::MAX).max().copied().unwrap_or(0);
-            writeln!(out, "bfs from {source}: {reached} reachable, depth {depth}").unwrap();
-        }
-        "triangles" => {
-            writeln!(out, "triangles: {}", gee_algos::triangle_count(&g)).unwrap();
-        }
-        "matching" => {
-            let m = gee_algos::maximal_matching(&g, 42);
-            let matched = m.iter().filter(|&&p| p != u32::MAX).count();
-            writeln!(out, "maximal matching: {} edges ({} matched vertices)", matched / 2, matched)
-                .unwrap();
-        }
-        "dominating-set" => {
-            let ds = gee_algos::dominating_set(&g);
-            writeln!(out, "greedy dominating set: {} of {} vertices", ds.len(), g.num_vertices())
-                .unwrap();
-        }
-        "densest" => {
-            let r = gee_algos::densest_subgraph(&g);
-            writeln!(
-                out,
-                "densest subgraph (2-approx): {} vertices, density {:.3}",
-                r.vertices.len(),
-                r.density
-            )
-            .unwrap();
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --algo {other:?} (cc|pagerank|kcore|sssp|bfs|triangles|matching|dominating-set|densest)"
-            )))
-        }
-    }
-    writeln!(out, "({:.2?})", t0.elapsed()).unwrap();
-    Ok(out)
 }
 
 /// The durability policy the flags describe, if `--data-dir` was given.
@@ -1310,30 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn generate_sbm_and_communities() {
-        let graph = tmp("gee_cli_sbm.txt");
-        run(&sv(&[
-            "generate",
-            "--kind",
-            "sbm",
-            "--blocks",
-            "3",
-            "--vertices",
-            "120",
-            "--p-in",
-            "0.4",
-            "--p-out",
-            "0.01",
-            "--out",
-            &graph,
-        ]))
-        .unwrap();
-        let out = run(&sv(&["communities", "--graph", &graph, "--algo", "leiden"])).unwrap();
-        assert!(out.contains("3 communities"), "{out}");
-        std::fs::remove_file(&graph).ok();
-    }
-
-    #[test]
     fn convert_between_formats() {
         let a = tmp("gee_cli_conv.txt");
         let b = tmp("gee_cli_conv.mtx");
@@ -1462,38 +1300,6 @@ mod tests {
         for path in [&graph, &det, &reference] {
             std::fs::remove_file(path).ok();
         }
-    }
-
-    #[test]
-    fn analyze_runs_every_algorithm() {
-        let graph = tmp("gee_cli_analyze.txt");
-        run(&sv(&[
-            "generate",
-            "--kind",
-            "er",
-            "--vertices",
-            "300",
-            "--edges",
-            "2400",
-            "--out",
-            &graph,
-        ]))
-        .unwrap();
-        for (algo, needle) in [
-            ("cc", "connected components"),
-            ("pagerank", "top-5 PageRank"),
-            ("kcore", "degeneracy"),
-            ("sssp", "reachable"),
-            ("bfs", "reachable"),
-            ("triangles", "triangles:"),
-            ("matching", "maximal matching"),
-            ("dominating-set", "dominating set"),
-            ("densest", "densest subgraph"),
-        ] {
-            let out = run(&sv(&["analyze", "--graph", &graph, "--algo", algo])).unwrap();
-            assert!(out.contains(needle), "{algo}: {out}");
-        }
-        std::fs::remove_file(&graph).ok();
     }
 
     #[test]
@@ -2386,26 +2192,6 @@ mod tests {
         ]))
         .unwrap();
         let r = run(&sv(&["query", "--graph", &graph]));
-        assert!(matches!(r, Err(CliError::Usage(_))));
-        std::fs::remove_file(&graph).ok();
-    }
-
-    #[test]
-    fn analyze_rejects_unknown_algo() {
-        let graph = tmp("gee_cli_analyze_bad.txt");
-        run(&sv(&[
-            "generate",
-            "--kind",
-            "er",
-            "--vertices",
-            "20",
-            "--edges",
-            "40",
-            "--out",
-            &graph,
-        ]))
-        .unwrap();
-        let r = run(&sv(&["analyze", "--graph", &graph, "--algo", "frobnicate"]));
         assert!(matches!(r, Err(CliError::Usage(_))));
         std::fs::remove_file(&graph).ok();
     }

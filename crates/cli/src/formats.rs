@@ -50,7 +50,9 @@ pub fn read_graph(path: &Path) -> crate::Result<EdgeList> {
         Format::EdgeStream => {
             let mut r = io::edge_stream::EdgeStreamReader::new(reader)?;
             let mut buf = Vec::new();
-            let mut all = Vec::with_capacity(r.num_edges());
+            // Not sized by the header's edge count: a short file must end
+            // in an EOF error, not in a huge allocation.
+            let mut all = Vec::new();
             while r.read_chunk(&mut buf, 1 << 20)? > 0 {
                 all.extend_from_slice(&buf);
             }
@@ -120,6 +122,35 @@ mod tests {
             assert_eq!(back.num_edges(), el.num_edges(), "{name}");
             assert_eq!(back.num_vertices(), el.num_vertices(), "{name}");
             std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn hostile_binary_headers_are_graph_errors() {
+        // A GEECSR1 header claiming 2^40 vertices, and a GEEES1 header
+        // claiming 2^40 edges over 4 vertices; neither file has a body.
+        let csr = [
+            &b"GEECSR1\0"[..],
+            &[0; 8],
+            &(1u64 << 40).to_le_bytes(),
+            &[0; 8],
+        ]
+        .concat();
+        let edges = [
+            &b"GEEES1\0\0"[..],
+            &4u64.to_le_bytes(),
+            &(1u64 << 40).to_le_bytes(),
+        ]
+        .concat();
+        for (name, bytes) in [
+            ("gee_cli_hostile.csr", csr),
+            ("gee_cli_hostile.edges", edges),
+        ] {
+            let p = std::env::temp_dir().join(name);
+            std::fs::write(&p, bytes).unwrap();
+            let r = read_graph(&p);
+            std::fs::remove_file(&p).ok();
+            assert!(matches!(r, Err(CliError::Graph(_))), "{name}: {r:?}");
         }
     }
 

@@ -4,7 +4,6 @@
 //! gee generate --kind rmat --scale 16 --edges 1000000 --out graph.txt
 //! gee stats graph.txt
 //! gee embed --graph graph.txt --k 50 --labeled 0.1 --out embedding.csv
-//! gee communities --graph graph.txt --algo leiden
 //! gee convert graph.txt graph.mtx
 //! ```
 

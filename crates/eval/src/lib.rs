@@ -7,36 +7,23 @@
 //! that premise on synthetic graphs with known structure:
 //!
 //! * [`kmeans()`] — Lloyd's algorithm with k-means++ seeding, parallel
-//!   assignment step (also the engine of unsupervised / iterative GEE).
+//!   assignment step.
+//! * [`knn`] — k-nearest-neighbour vertex classification over embedding
+//!   rows (the semantics the serving engine's `Classify` reproduces).
 //! * [`metrics`] — Adjusted Rand Index, Normalized Mutual Information,
 //!   purity, within/between scatter ratio.
 //! * [`spectral`] — adjacency spectral embedding via block power iteration
-//!   (the statistical baseline GEE converges toward).
-//! * [`validity`] — internal cluster-validity indices (silhouette,
-//!   Davies–Bouldin) for truth-free quality checks.
-//! * [`hypothesis`] — two-sample energy-distance permutation test on
-//!   embedded groups (the "hypothesis testing" inference task of §I).
-//! * [`logreg`] — multinomial logistic regression, the linear
-//!   vertex classifier counterpart to [`knn`].
+//!   (the statistical baseline GEE converges toward), compared with GEE up
+//!   to rotation by [`procrustes`].
 
-pub mod confusion;
-pub mod hypothesis;
 pub mod kmeans;
 pub mod knn;
-pub mod logreg;
 pub mod metrics;
 pub mod procrustes;
 pub mod spectral;
-pub mod split;
-pub mod validity;
 
-pub use confusion::ConfusionMatrix;
-pub use hypothesis::{energy_test, TestResult};
 pub use kmeans::{kmeans, kmeans_best_of, KMeansOptions, KMeansResult};
 pub use knn::{accuracy, knn_classify};
-pub use logreg::{LogRegOptions, LogisticRegression};
 pub use metrics::{adjusted_rand_index, normalized_mutual_information, purity, scatter_ratio};
 pub use procrustes::{orthogonal_procrustes, ProcrustesResult};
 pub use spectral::{spectral_embedding, SpectralOptions};
-pub use split::{k_fold, stratified_split, train_test_split, Split};
-pub use validity::{davies_bouldin, silhouette};

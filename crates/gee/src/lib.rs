@@ -26,8 +26,7 @@
 //! | GEE-Ligra par.  | [`ligra::embed`] on N threads     |
 //!
 //! Extensions beyond the paper's evaluation, from the GEE literature it
-//! builds on: the Laplacian variant ([`laplacian`]), unsupervised /
-//! iterative GEE clustering ([`unsupervised`]), a bit-reproducible
+//! builds on: the Laplacian variant ([`laplacian`]), a bit-reproducible
 //! parallel kernel ([`kernels::embed_binned`], also behind the fused
 //! multi-labeling pass of [`batch`] and the out-of-core pass of
 //! [`streaming`]), and incremental maintenance under edge/label updates
@@ -45,7 +44,6 @@ pub mod projection;
 pub mod serial_optimized;
 pub mod serial_reference;
 pub mod streaming;
-pub mod unsupervised;
 
 /// The bit-reproducibility contract of the deterministic path
 /// ([`kernels::embed_binned`], what `gee embed --impl deterministic`

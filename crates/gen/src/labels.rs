@@ -47,7 +47,7 @@ pub fn random_labels(n: usize, spec: LabelSpec, seed: u64) -> Vec<Option<u32>> {
 }
 
 /// Fully-labeled variant (used by correctness tests where every vertex must
-/// contribute, and by the unsupervised-refinement warm start).
+/// contribute).
 pub fn full_labels(n: usize, num_classes: usize, seed: u64) -> Vec<Option<u32>> {
     assert!(num_classes >= 1);
     let mut rng = stream_rng(seed, 1);

@@ -5,7 +5,7 @@
 //! ```text
 //! magic   : 8 bytes  = b"GEECSR1\0"
 //! flags   : u64      (bit 0: weighted)
-//! n       : u64
+//! n       : u64      (at most 2^32: vertex ids are u32)
 //! s       : u64
 //! offsets : (n+1) × u64
 //! targets : s × u32
@@ -18,10 +18,15 @@
 use std::io::{Read, Write};
 
 use super::frame::read_u64;
+use super::header_vertex_count;
 use crate::{CsrGraph, GraphError};
 
 const MAGIC: &[u8; 8] = b"GEECSR1\0";
 const FLAG_WEIGHTED: u64 = 1;
+/// Most elements reserved up front per array. The header's counts are not
+/// trusted for allocation: past this, arrays grow as their bytes arrive,
+/// so a short file ends in an EOF error instead of a huge allocation.
+const MAX_RESERVE: usize = 1 << 20;
 
 /// Serialize a [`CsrGraph`] (transpose, if any, is not written).
 pub fn write<W: Write>(mut w: W, g: &CsrGraph) -> crate::Result<()> {
@@ -53,9 +58,9 @@ pub fn read<R: Read>(mut r: R) -> crate::Result<CsrGraph> {
     }
     let flags = read_u64(&mut r)?;
     let weighted = flags & FLAG_WEIGHTED != 0;
-    let n = read_u64(&mut r)? as usize;
+    let n = header_vertex_count(read_u64(&mut r)?)?;
     let s = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
+    let mut offsets = Vec::with_capacity((n + 1).min(MAX_RESERVE));
     for _ in 0..=n {
         offsets.push(read_u64(&mut r)? as usize);
     }
@@ -67,7 +72,7 @@ pub fn read<R: Read>(mut r: R) -> crate::Result<CsrGraph> {
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(GraphError::Format("offsets not monotone".into()));
     }
-    let mut targets = Vec::with_capacity(s);
+    let mut targets = Vec::with_capacity(s.min(MAX_RESERVE));
     let mut buf4 = [0u8; 4];
     for _ in 0..s {
         r.read_exact(&mut buf4)?;
@@ -81,7 +86,7 @@ pub fn read<R: Read>(mut r: R) -> crate::Result<CsrGraph> {
         targets.push(t);
     }
     let weights = if weighted {
-        let mut ws = Vec::with_capacity(s);
+        let mut ws = Vec::with_capacity(s.min(MAX_RESERVE));
         let mut buf8 = [0u8; 8];
         for _ in 0..s {
             r.read_exact(&mut buf8)?;
@@ -162,5 +167,32 @@ mod tests {
             read(buf.as_slice()),
             Err(GraphError::VertexOutOfRange { .. })
         ));
+    }
+
+    /// A 32-byte header with counts `n` and `s`, then `body`.
+    fn header(n: u64, s: u64, body: &[u64]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for x in [0, n, s].iter().chain(body) {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn rejects_vertex_counts_past_u32_ids() {
+        for n in [1 << 40, 1 << 61, u64::MAX] {
+            let err = read(header(n, 0, &[]).as_slice()).unwrap_err();
+            assert!(matches!(err, GraphError::Format(_)), "n = {n}: {err}");
+        }
+    }
+
+    #[test]
+    fn huge_counts_in_a_short_file_end_in_eof() {
+        // The largest legal n, and an edge count the offsets agree with:
+        // both must fail on the missing bytes, not on the allocation.
+        for buf in [header(1 << 32, 0, &[0]), header(1, 1 << 40, &[0, 1 << 40])] {
+            let err = read(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, GraphError::Io(_)), "{err}");
+        }
     }
 }

@@ -6,13 +6,14 @@
 //!
 //! ```text
 //! magic : 8 bytes = b"GEEES1\0\0"
-//! n     : u64
+//! n     : u64      (at most 2^32: vertex ids are u32)
 //! s     : u64
 //! edges : s × (u32 u, u32 v, f64 w)   — 16 bytes each
 //! ```
 
 use std::io::{Read, Write};
 
+use super::header_vertex_count;
 use crate::{Edge, EdgeList, GraphError};
 
 const MAGIC: &[u8; 8] = b"GEEES1\0\0";
@@ -48,7 +49,7 @@ impl<R: Read> EdgeStreamReader<R> {
         }
         let mut b = [0u8; 8];
         inner.read_exact(&mut b)?;
-        let n = u64::from_le_bytes(b) as usize;
+        let n = header_vertex_count(u64::from_le_bytes(b))?;
         inner.read_exact(&mut b)?;
         let s = u64::from_le_bytes(b) as usize;
         Ok(EdgeStreamReader {
@@ -64,7 +65,8 @@ impl<R: Read> EdgeStreamReader<R> {
         self.num_vertices
     }
 
-    /// Declared edge count.
+    /// Declared edge count. It comes from the file's header: do not size an
+    /// allocation by it before the edges have been read.
     pub fn num_edges(&self) -> usize {
         self.num_edges
     }
@@ -177,6 +179,33 @@ mod tests {
         assert!(matches!(
             r.read_chunk(&mut buf, 10),
             Err(GraphError::VertexOutOfRange { .. })
+        ));
+    }
+
+    /// A header with counts `n` and `s` and no edge records.
+    fn header(n: u64, s: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&s.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn rejects_vertex_counts_past_u32_ids() {
+        for n in [1 << 40, 1 << 61, u64::MAX] {
+            let err = EdgeStreamReader::new(header(n, 0).as_slice()).err();
+            assert!(matches!(err, Some(GraphError::Format(_))), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn huge_edge_count_in_a_short_file_ends_in_eof() {
+        let bytes = header(4, 1 << 40);
+        let mut r = EdgeStreamReader::new(bytes.as_slice()).unwrap();
+        let mut buf = Vec::new();
+        assert!(matches!(
+            r.read_chunk(&mut buf, 1 << 20),
+            Err(GraphError::Io(_))
         ));
     }
 }

@@ -15,3 +15,16 @@ pub mod edgelist;
 pub mod frame;
 pub mod mtx;
 pub mod snap;
+
+use crate::GraphError;
+
+/// A binary header's vertex count, refused past `2^32`: vertex ids are
+/// `u32`, so a larger count can only be a corrupt or hostile header.
+pub(crate) fn header_vertex_count(n: u64) -> crate::Result<usize> {
+    if n > 1 << 32 {
+        return Err(GraphError::Format(format!(
+            "header declares {n} vertices; vertex ids are u32"
+        )));
+    }
+    Ok(n as usize)
+}

@@ -1,4 +1,5 @@
-//! Graph transforms: symmetrize, compact vertex ids, filter.
+//! Graph transforms: self-loop removal, vertex compaction, permutation,
+//! parallel-edge coalescing, edge sampling.
 
 use std::collections::HashMap;
 
@@ -56,20 +57,6 @@ pub fn permute(el: &EdgeList, perm: &[VertexId]) -> EdgeList {
     EdgeList::new_unchecked(el.num_vertices(), edges)
 }
 
-/// Keep only edges whose endpoints satisfy `keep`, then compact.
-pub fn induced_subgraph<F: Fn(VertexId) -> bool>(
-    el: &EdgeList,
-    keep: F,
-) -> (EdgeList, Vec<VertexId>) {
-    let edges: Vec<Edge> = el
-        .edges()
-        .iter()
-        .copied()
-        .filter(|e| keep(e.u) && keep(e.v))
-        .collect();
-    compact(&EdgeList::new_unchecked(el.num_vertices(), edges))
-}
-
 /// Merge parallel edges by summing weights. Output order is by first
 /// occurrence of each `(u, v)` pair.
 pub fn coalesce(el: &EdgeList) -> EdgeList {
@@ -85,61 +72,6 @@ pub fn coalesce(el: &EdgeList) -> EdgeList {
         }
     }
     EdgeList::new_unchecked(el.num_vertices(), merged)
-}
-
-/// Union-find with path halving and union by size (local to the graph
-/// crate so transforms don't depend on the engine).
-struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-        }
-    }
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
-            x = self.parent[x as usize];
-        }
-        x
-    }
-    fn union(&mut self, a: u32, b: u32) {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        if self.size[ra as usize] < self.size[rb as usize] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
-    }
-}
-
-/// Extract the largest weakly-connected component (edges whose endpoints
-/// both lie in it), compacted to dense ids. Returns the component edge
-/// list and the old→new id map (`u32::MAX` for vertices outside it).
-/// Isolated vertices count as singleton components.
-pub fn largest_component(el: &EdgeList) -> (EdgeList, Vec<VertexId>) {
-    let n = el.num_vertices();
-    if n == 0 {
-        return (EdgeList::new_unchecked(0, Vec::new()), Vec::new());
-    }
-    let mut uf = UnionFind::new(n);
-    for e in el.edges() {
-        uf.union(e.u, e.v);
-    }
-    let roots: Vec<u32> = (0..n as u32).map(|v| uf.find(v)).collect();
-    let champion = (0..n as u32)
-        .max_by_key(|&v| uf.size[roots[v as usize] as usize])
-        .expect("n > 0");
-    let root = roots[champion as usize];
-    induced_subgraph(el, |v| roots[v as usize] == root)
 }
 
 /// Deterministically keep each edge with probability `p`, decided by a
@@ -221,54 +153,6 @@ mod tests {
     fn permute_rejects_wrong_length() {
         let el = EdgeList::new(3, vec![Edge::unit(0, 1)]).unwrap();
         permute(&el, &[0, 1]);
-    }
-
-    #[test]
-    fn induced_subgraph_filters_and_compacts() {
-        let el = EdgeList::new(
-            4,
-            vec![Edge::unit(0, 1), Edge::unit(2, 3), Edge::unit(1, 3)],
-        )
-        .unwrap();
-        let (sub, _) = induced_subgraph(&el, |v| v != 3);
-        assert_eq!(sub.num_edges(), 1);
-        assert_eq!(sub.num_vertices(), 2);
-    }
-
-    #[test]
-    fn largest_component_picks_bigger_side() {
-        // Component A: 0-1-2 (3 vertices); component B: 3-4 (2 vertices).
-        let el = EdgeList::new(
-            6,
-            vec![Edge::unit(0, 1), Edge::unit(1, 2), Edge::unit(3, 4)],
-        )
-        .unwrap();
-        let (lcc, map) = largest_component(&el);
-        assert_eq!(lcc.num_vertices(), 3);
-        assert_eq!(lcc.num_edges(), 2);
-        assert_ne!(map[0], VertexId::MAX);
-        assert_eq!(map[3], VertexId::MAX);
-        assert_eq!(map[5], VertexId::MAX); // isolated vertex excluded
-    }
-
-    #[test]
-    fn largest_component_connected_graph_is_identity_shape() {
-        let el = EdgeList::new(
-            4,
-            vec![Edge::unit(0, 1), Edge::unit(1, 2), Edge::unit(2, 3)],
-        )
-        .unwrap();
-        let (lcc, _) = largest_component(&el);
-        assert_eq!(lcc.num_vertices(), 4);
-        assert_eq!(lcc.num_edges(), 3);
-    }
-
-    #[test]
-    fn largest_component_empty_graph() {
-        let el = EdgeList::new_unchecked(0, Vec::new());
-        let (lcc, map) = largest_component(&el);
-        assert_eq!(lcc.num_vertices(), 0);
-        assert!(map.is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! over the embedding. This crate is that back half as a long-lived
 //! service. It stitches the workspace's ingredients — [`gee_core`]'s
 //! embeddings and [`DynamicGee`](gee_core::DynamicGee) incremental
-//! maintenance, [`gee_eval`]'s kNN semantics — into an in-memory,
-//! multi-graph store plus query engine:
+//! maintenance, the kNN semantics of `gee_eval::knn_classify` (its test
+//! oracle) — into an in-memory, multi-graph store plus query engine:
 //!
 //! * [`Registry`] owns named graphs, their labels, and epoch-versioned
 //!   [`Snapshot`]s of the embedding. Writes serialize through a

@@ -61,24 +61,6 @@ fn embedding_separates_classes_geometrically() {
 }
 
 #[test]
-fn unsupervised_gee_matches_leiden_quality() {
-    // Two fully-unsupervised pipelines on the same SBM: iterative GEE
-    // clustering vs Leiden; both should recover the planted partition.
-    let sbm = gee_gen::sbm(&SbmParams::balanced(3, 120, 0.15, 0.01), 23);
-    let g = CsrGraph::from_edge_list(&sbm.edges);
-
-    let gee =
-        gee_core::unsupervised::cluster(&g, gee_core::unsupervised::UnsupervisedOptions::new(3, 5));
-    let ari_gee = adjusted_rand_index(&gee.assignment, &sbm.truth);
-
-    let leiden = gee_repro::community::leiden(&g, gee_repro::community::LeidenOptions::default());
-    let ari_leiden = adjusted_rand_index(leiden.membership(), &sbm.truth);
-
-    assert!(ari_gee > 0.8, "iterative GEE ARI {ari_gee:.3}");
-    assert!(ari_leiden > 0.8, "leiden ARI {ari_leiden:.3}");
-}
-
-#[test]
 fn purity_of_labeled_vertices_embedding() {
     // Labeled vertices' strongest coordinate should usually be their own
     // class on an assortative graph.
