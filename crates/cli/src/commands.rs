@@ -21,6 +21,8 @@ subcommands:
   stats        <file>
   embed        --graph <file> --out <csv> [--k K=50] [--labeled F=0.1]
                [--impl ligra|ligra-serial|optimized|reference|deterministic] [--threads T] [--seed S]
+  analyze      --graph <file> --algo <cc|pagerank|kcore|sssp|bfs|triangles|
+                                       matching|dominating-set|densest> [--source V=0]
   serve        --graph <file> (--script <file> | --listen ADDR) [--k K=50] [--labeled F=0.1]
                [--shards S=4] [--seed S=42] [--history N=1] [--max-pending N]
                [--index exact|ivf] [--nprobe N=8] [--refine R=8]
@@ -96,6 +98,7 @@ pub fn run(args: &[String]) -> crate::Result<String> {
         "generate" => generate(&flags),
         "stats" => stats(&flags),
         "embed" => embed(&flags),
+        "analyze" => analyze(&flags),
         "serve" => serve(&flags),
         "query" => query(&flags),
         "bench" => bench(&flags),
@@ -277,6 +280,82 @@ fn embed(flags: &Flags) -> crate::Result<String> {
         z.dim(),
         out_path
     ))
+}
+
+fn analyze(flags: &Flags) -> crate::Result<String> {
+    let graph_path = flags.require("graph")?.to_string();
+    let algo = flags.require("algo")?.to_string();
+    let source: u32 = flags.get_parsed("source", 0u32)?;
+    // The engine algorithms assume symmetric inputs where noted; analyze
+    // symmetrizes uniformly so every algorithm sees the undirected graph.
+    let el = read_graph(Path::new(&graph_path))?.symmetrized();
+    let g = CsrGraph::from_edge_list(&el);
+    let t0 = std::time::Instant::now();
+    let mut out = String::new();
+    match algo.as_str() {
+        "cc" => {
+            let comp = gee_algos::connected_components(&g);
+            let mut roots: Vec<u32> = comp.clone();
+            roots.sort_unstable();
+            roots.dedup();
+            writeln!(out, "connected components: {}", roots.len()).unwrap();
+        }
+        "pagerank" => {
+            let pr = gee_algos::pagerank(&g, gee_algos::PageRankOptions::default());
+            let mut top: Vec<(u32, f64)> =
+                pr.iter().enumerate().map(|(v, &r)| (v as u32, r)).collect();
+            top.sort_by(|a, b| b.1.total_cmp(&a.1));
+            writeln!(out, "top-5 PageRank: {:?}", &top[..top.len().min(5)]).unwrap();
+        }
+        "kcore" => {
+            let core = gee_algos::kcore_bucketed(&g);
+            let max = core.iter().copied().max().unwrap_or(0);
+            writeln!(out, "degeneracy (max core): {max}").unwrap();
+        }
+        "sssp" => {
+            let d = gee_algos::delta_stepping(&g, source, gee_algos::suggest_delta(&g));
+            let reached = d.iter().filter(|x| x.is_finite()).count();
+            let ecc = d.iter().filter(|x| x.is_finite()).fold(0.0f64, |a, &b| a.max(b));
+            writeln!(out, "sssp from {source}: {reached} reachable, eccentricity {ecc:.3}").unwrap();
+        }
+        "bfs" => {
+            let d = gee_algos::bfs_distances(&g, source);
+            let reached = d.iter().filter(|&&x| x != u32::MAX).count();
+            let depth = d.iter().filter(|&&x| x != u32::MAX).max().copied().unwrap_or(0);
+            writeln!(out, "bfs from {source}: {reached} reachable, depth {depth}").unwrap();
+        }
+        "triangles" => {
+            writeln!(out, "triangles: {}", gee_algos::triangle_count(&g)).unwrap();
+        }
+        "matching" => {
+            let m = gee_algos::maximal_matching(&g, 42);
+            let matched = m.iter().filter(|&&p| p != u32::MAX).count();
+            writeln!(out, "maximal matching: {} edges ({} matched vertices)", matched / 2, matched)
+                .unwrap();
+        }
+        "dominating-set" => {
+            let ds = gee_algos::dominating_set(&g);
+            writeln!(out, "greedy dominating set: {} of {} vertices", ds.len(), g.num_vertices())
+                .unwrap();
+        }
+        "densest" => {
+            let r = gee_algos::densest_subgraph(&g);
+            writeln!(
+                out,
+                "densest subgraph (2-approx): {} vertices, density {:.3}",
+                r.vertices.len(),
+                r.density
+            )
+            .unwrap();
+        }
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown --algo {other:?} (cc|pagerank|kcore|sssp|bfs|triangles|matching|dominating-set|densest)"
+            )))
+        }
+    }
+    writeln!(out, "({:.2?})", t0.elapsed()).unwrap();
+    Ok(out)
 }
 
 /// The durability policy the flags describe, if `--data-dir` was given.
@@ -1303,6 +1382,38 @@ mod tests {
     }
 
     #[test]
+    fn analyze_runs_every_algorithm() {
+        let graph = tmp("gee_cli_analyze.txt");
+        run(&sv(&[
+            "generate",
+            "--kind",
+            "er",
+            "--vertices",
+            "300",
+            "--edges",
+            "2400",
+            "--out",
+            &graph,
+        ]))
+        .unwrap();
+        for (algo, needle) in [
+            ("cc", "connected components"),
+            ("pagerank", "top-5 PageRank"),
+            ("kcore", "degeneracy"),
+            ("sssp", "reachable"),
+            ("bfs", "reachable"),
+            ("triangles", "triangles:"),
+            ("matching", "maximal matching"),
+            ("dominating-set", "dominating set"),
+            ("densest", "densest subgraph"),
+        ] {
+            let out = run(&sv(&["analyze", "--graph", &graph, "--algo", algo])).unwrap();
+            assert!(out.contains(needle), "{algo}: {out}");
+        }
+        std::fs::remove_file(&graph).ok();
+    }
+
+    #[test]
     fn serve_runs_a_script_end_to_end() {
         let graph = tmp("gee_cli_serve.txt");
         let script = tmp("gee_cli_serve.script");
@@ -2192,6 +2303,26 @@ mod tests {
         ]))
         .unwrap();
         let r = run(&sv(&["query", "--graph", &graph]));
+        assert!(matches!(r, Err(CliError::Usage(_))));
+        std::fs::remove_file(&graph).ok();
+    }
+
+    #[test]
+    fn analyze_rejects_unknown_algo() {
+        let graph = tmp("gee_cli_analyze_bad.txt");
+        run(&sv(&[
+            "generate",
+            "--kind",
+            "er",
+            "--vertices",
+            "20",
+            "--edges",
+            "40",
+            "--out",
+            &graph,
+        ]))
+        .unwrap();
+        let r = run(&sv(&["analyze", "--graph", &graph, "--algo", "frobnicate"]));
         assert!(matches!(r, Err(CliError::Usage(_))));
         std::fs::remove_file(&graph).ok();
     }

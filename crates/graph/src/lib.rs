@@ -8,6 +8,7 @@
 //! * [`CsrGraph`] — a compressed-sparse-row adjacency structure with optional
 //!   per-edge weights and an optionally materialized transpose, the
 //!   representation the Ligra engine traverses.
+//! * [`builder::GraphBuilder`] — deduplicating/validating construction.
 //! * [`io`] — plain edge-list text, SNAP-style text, and a compact binary
 //!   format.
 //! * [`transform`] — symmetrization, self-loop removal, vertex compaction.
@@ -20,6 +21,7 @@
 //! vertices, comfortably inside `u32`, and halving index width matters for a
 //! memory-bound workload (§IV of the paper).
 
+pub mod builder;
 pub mod compressed;
 pub mod csr;
 pub mod edge_list;
@@ -29,6 +31,7 @@ pub mod partition;
 pub mod stats;
 pub mod transform;
 
+pub use builder::GraphBuilder;
 pub use compressed::CompressedCsr;
 pub use csr::{rows_in_edge_order, CsrGraph};
 pub use edge_list::{Edge, EdgeList};

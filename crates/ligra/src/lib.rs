@@ -15,19 +15,27 @@
 //!   and the *dense-forward* traversal GEE uses (one task per range of
 //!   sources holding an equal share of the edges, each source's edge list
 //!   processed sequentially — §III of the paper).
+//! * [`vertex_map()`] — parallel map/filter over a frontier.
 //! * [`atomics`] — `writeAdd` (f64 CAS loop), `write_min`, `cas`, and the
 //!   deliberately racy non-atomic mode used for the paper's "atomics off"
 //!   ablation.
-//! * [`prim`] — parallel exclusive scan and the index pack that turns a
-//!   dense output frontier into a sparse one.
+//! * [`prim`] — parallel scan / pack / filter primitives.
+//! * [`bucketing`] — Julienne-style priority buckets for ordered
+//!   algorithms (k-core peeling, Δ-stepping SSSP).
 
 pub mod atomics;
+pub mod bucketing;
+pub mod edge_filter;
 pub mod edge_map;
 pub mod prim;
+pub mod vertex_map;
 pub mod vertex_subset;
 
 pub use atomics::{AtomicF64Vec, AtomicsMode};
+pub use bucketing::{Bucket, BucketOrder, Buckets};
+pub use edge_filter::filter_graph;
 pub use edge_map::{edge_map, edge_map_dense_forward, EdgeMapFn, EdgeMapOptions, TraversalKind};
+pub use vertex_map::{vertex_filter, vertex_map};
 pub use vertex_subset::VertexSubset;
 
 /// Run `f` on a rayon pool with exactly `threads` workers.

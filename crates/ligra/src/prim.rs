@@ -1,7 +1,6 @@
-//! Parallel primitives: exclusive scan and index pack.
+//! Parallel primitives: exclusive scan, pack, filter.
 //!
-//! [`pack_indices`] turns a dense flag vector into the sorted vertex ids
-//! of a sparse frontier (what `edge_map` returns). Scan uses
+//! These are the building blocks Ligra composes traversals from. Scan uses
 //! the standard two-pass chunked algorithm (per-chunk sums, scan of sums,
 //! per-chunk rescan), giving O(n) work and O(n / P + P) span on rayon.
 
@@ -45,6 +44,15 @@ pub fn exclusive_scan(input: &[usize]) -> (Vec<usize>, usize) {
     (out, acc)
 }
 
+/// Keep elements whose flag is set, preserving order (Ligra's `pack`).
+pub fn pack<T: Copy + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
+    assert_eq!(items.len(), flags.len());
+    pack_indices(flags)
+        .into_par_iter()
+        .map(|i| items[i as usize])
+        .collect()
+}
+
 /// Indices `i` with `flags[i]` set, in increasing order.
 pub fn pack_indices(flags: &[bool]) -> Vec<u32> {
     let counts: Vec<usize> = flags.iter().map(|&b| usize::from(b)).collect();
@@ -59,6 +67,11 @@ pub fn pack_indices(flags: &[bool]) -> Vec<u32> {
         }
     });
     out
+}
+
+/// Parallel filter by predicate.
+pub fn filter<T: Copy + Send + Sync, F: Fn(&T) -> bool + Sync>(items: &[T], pred: F) -> Vec<T> {
+    items.par_iter().copied().filter(|x| pred(x)).collect()
 }
 
 struct SyncPtr<T>(*mut T);
@@ -102,6 +115,13 @@ mod tests {
     }
 
     #[test]
+    fn pack_preserves_order() {
+        let items = [10, 20, 30, 40];
+        let flags = [true, false, true, true];
+        assert_eq!(pack(&items, &flags), vec![10, 30, 40]);
+    }
+
+    #[test]
     fn pack_indices_basic() {
         assert_eq!(
             pack_indices(&[false, true, true, false, true]),
@@ -116,5 +136,11 @@ mod tests {
         assert_eq!(idx.len(), flags.iter().filter(|&&b| b).count());
         assert!(idx.windows(2).all(|w| w[0] < w[1]));
         assert!(idx.iter().all(|&i| i % 3 == 0));
+    }
+
+    #[test]
+    fn filter_by_predicate() {
+        let out = filter(&[1, 2, 3, 4, 5, 6], |&x| x % 2 == 0);
+        assert_eq!(out, vec![2, 4, 6]);
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gee_graph::{CsrGraph, Edge, EdgeList, VertexId, Weight};
-use gee_ligra::prim::{exclusive_scan, pack_indices};
+use gee_ligra::prim::{exclusive_scan, pack, pack_indices};
 use gee_ligra::{edge_map, AtomicF64Vec, EdgeMapFn, EdgeMapOptions, TraversalKind, VertexSubset};
 use proptest::prelude::*;
 
@@ -115,6 +115,20 @@ proptest! {
             acc += x;
         }
         prop_assert_eq!(total, acc);
+    }
+
+    /// pack == serial filter by flags.
+    #[test]
+    fn pack_matches_filter(items in proptest::collection::vec(0u32..1000, 0..300), seed in 0u64..100) {
+        let flags: Vec<bool> = (0..items.len()).map(|i| !(i as u64 + seed).is_multiple_of(3)).collect();
+        let packed = pack(&items, &flags);
+        let expected: Vec<u32> = items
+            .iter()
+            .zip(&flags)
+            .filter(|(_, &f)| f)
+            .map(|(&x, _)| x)
+            .collect();
+        prop_assert_eq!(packed, expected);
     }
 
     /// pack_indices returns exactly the set positions, sorted.

@@ -215,6 +215,7 @@
 //!
 //! See `examples/` for end-to-end scenarios.
 
+pub use gee_algos as algos;
 pub use gee_core as core;
 pub use gee_eval as eval;
 pub use gee_gen as gen;
@@ -231,8 +232,8 @@ pub mod prelude {
         AtomicsMode, DynamicGee, Embedding, GeeOptions, Implementation, Labels, Variant,
     };
     pub use gee_gen::{self, LabelSpec, RmatParams, SbmParams, WsParams};
-    pub use gee_graph::{CsrGraph, Edge, EdgeList};
-    pub use gee_ligra::{with_threads, VertexSubset};
+    pub use gee_graph::{CsrGraph, Edge, EdgeList, GraphBuilder};
+    pub use gee_ligra::{with_threads, BucketOrder, Buckets, VertexSubset};
     pub use gee_loadgen::{Analysis as BenchAnalysis, BenchConfig, Mix as BenchMix};
     pub use gee_serve::{
         BackpressurePolicy, Client as ServeClient, Durability, Engine as ServeEngine, Envelope,

@@ -1,10 +1,12 @@
 //! Cross-crate integration: the Ligra-style engine substrate behaves
-//! correctly under composition — a frontier algorithm written against
-//! `edge_map`, I/O round trips feeding the engine, and thread-count
+//! correctly under composition — algorithms from `gee-algos` and a
+//! frontier algorithm written inline against `edge_map` on generated
+//! graphs, I/O round trips feeding the engine, and thread-count
 //! independence of results.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use gee_repro::algos;
 use gee_repro::graph::io::{binary, edgelist};
 use gee_repro::ligra::atomics::cas_u32;
 use gee_repro::ligra::{edge_map, EdgeMapFn, EdgeMapOptions};
@@ -48,6 +50,25 @@ fn bfs_depths(g: &CsrGraph, source: u32) -> Vec<u32> {
         frontier = edge_map(g, &frontier, &visit, EdgeMapOptions::default());
     }
     depth.into_iter().map(AtomicU32::into_inner).collect()
+}
+
+#[test]
+fn bfs_pagerank_cc_compose_on_generated_graph() {
+    let el = gee_gen::rmat(11, 20_000, RmatParams::default(), 3).symmetrized();
+    let g = CsrGraph::from_edge_list(&el);
+    let n = g.num_vertices();
+
+    let cc = algos::connected_components(&g);
+    let dist = algos::bfs_distances(&g, 0);
+    // BFS reachability from 0 must be exactly the component of 0.
+    for v in 0..n as u32 {
+        let same_component = cc[v as usize] == cc[0];
+        let reached = dist[v as usize] != u32::MAX;
+        assert_eq!(same_component, reached, "vertex {v}");
+    }
+
+    let pr = algos::pagerank(&g, algos::PageRankOptions::default());
+    assert!((pr.iter().sum::<f64>() - 1.0).abs() < 1e-6);
 }
 
 #[test]
@@ -121,4 +142,50 @@ fn io_round_trip_feeds_engine() {
     let z1 = gee_core::ligra::embed(&g, &labels, AtomicsMode::Atomic);
     let z2 = gee_core::ligra::embed(&g2, &labels, AtomicsMode::Atomic);
     z1.assert_close(&z2, 1e-12);
+}
+
+#[test]
+fn triangle_count_and_kcore_on_cliques() {
+    // 3 disjoint K_5s: 10 triangles and core 4 each.
+    let mut builder = GraphBuilder::new(15);
+    for c in 0..3u32 {
+        for i in 0..5 {
+            for j in (i + 1)..5 {
+                builder = builder.add_unit_edge(c * 5 + i, c * 5 + j);
+            }
+        }
+    }
+    let g = builder.symmetrize(true).build_csr().unwrap();
+    assert_eq!(algos::triangle_count(&g), 30);
+    assert!(algos::kcore(&g).iter().all(|&c| c == 4));
+    assert_eq!(
+        algos::cc::num_components(&algos::connected_components(&g)),
+        3
+    );
+}
+
+#[test]
+fn betweenness_on_barbell() {
+    // Two K_4s joined by a path through vertex 8: the bridge dominates.
+    let mut b = GraphBuilder::new(9);
+    for i in 0..4u32 {
+        for j in (i + 1)..4 {
+            b = b.add_unit_edge(i, j).add_unit_edge(4 + i, 4 + j);
+        }
+    }
+    b = b.add_unit_edge(0, 8).add_unit_edge(8, 4);
+    let g = b.symmetrize(true).build_csr().unwrap();
+    // From source 0 the bridge vertex 8 relays all four far-clique targets.
+    let dep = algos::betweenness(&g, 0);
+    assert!(
+        (dep[8] - 4.0).abs() < 1e-9,
+        "bridge dependency should be 4: {dep:?}"
+    );
+    // Exclude the source itself: Brandes' δ_s(s) is defined but never
+    // counted toward centrality.
+    let max_other = (1..8u32).map(|v| dep[v as usize]).fold(0.0, f64::max);
+    assert!(
+        dep[8] >= max_other,
+        "bridge vertex should dominate: {dep:?}"
+    );
 }

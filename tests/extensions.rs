@@ -1,7 +1,7 @@
 //! Cross-crate integration for the extension features: dynamic updates,
-//! the extra generators, downstream inference over the embedding, and the
-//! spectral-convergence check — each validated end-to-end on generated
-//! workloads.
+//! bucketed algorithms, the extra generators, downstream inference over
+//! the embedding, and the spectral-convergence check — each validated
+//! end-to-end on generated workloads.
 
 use gee_core::dynamic::DynamicGee;
 use gee_repro::prelude::*;
@@ -61,6 +61,58 @@ fn dynamic_gee_tracks_static_recompute_through_long_stream() {
         if step % 100 == 99 {
             let fresh = gee_core::serial_optimized::embed(&dg.edge_list(), &dg.labels());
             fresh.assert_close(&dg.embedding(), 1e-9);
+        }
+    }
+}
+
+/// Bucketed k-core must agree with the level-scan implementation on every
+/// generator family.
+#[test]
+fn bucketed_kcore_agrees_across_generators() {
+    let graphs = [
+        gee_gen::erdos_renyi_gnm(800, 6_000, 17).symmetrized(),
+        gee_gen::rmat(10, 15_000, RmatParams::default(), 19).symmetrized(),
+        gee_gen::watts_strogatz(
+            gee_gen::WsParams {
+                n: 600,
+                k: 6,
+                beta: 0.3,
+            },
+            21,
+        ),
+        gee_gen::config_model(&gee_gen::power_law_degrees(500, 2.3, 1, 60, 23), 23),
+    ];
+    for (i, el) in graphs.iter().enumerate() {
+        let g = CsrGraph::from_edge_list(el);
+        assert_eq!(
+            gee_repro::algos::kcore_bucketed(&g),
+            gee_repro::algos::kcore(&g),
+            "family {i}"
+        );
+    }
+}
+
+/// Δ-stepping must agree with frontier Bellman-Ford on weighted R-MAT.
+#[test]
+fn delta_stepping_agrees_with_bellman_ford() {
+    let base = gee_gen::rmat(10, 12_000, RmatParams::default(), 29).symmetrized();
+    // Derive deterministic positive weights from the endpoints.
+    let edges: Vec<Edge> = base
+        .edges()
+        .iter()
+        .map(|e| Edge::new(e.u, e.v, 0.25 + f64::from((e.u ^ e.v) % 16)))
+        .collect();
+    let g = CsrGraph::from_edge_list(&EdgeList::new_unchecked(base.num_vertices(), edges));
+    let a = gee_repro::algos::delta_stepping(&g, 0, gee_repro::algos::suggest_delta(&g));
+    let b = gee_repro::algos::sssp(&g, 0);
+    for v in 0..g.num_vertices() {
+        if a[v].is_finite() || b[v].is_finite() {
+            assert!(
+                (a[v] - b[v]).abs() < 1e-9,
+                "vertex {v}: {} vs {}",
+                a[v],
+                b[v]
+            );
         }
     }
 }
@@ -183,4 +235,28 @@ fn gee_aligns_with_spectral_embedding_up_to_rotation() {
         aligned.relative_residual,
         broken.relative_residual
     );
+}
+
+/// Buckets + engine: Δ-stepping on a Watts–Strogatz ring with unit
+/// weights equals BFS depth (every bucket is one BFS level when Δ = 1).
+#[test]
+fn delta_stepping_on_unit_weights_is_bfs() {
+    let el = gee_gen::watts_strogatz(
+        gee_gen::WsParams {
+            n: 800,
+            k: 6,
+            beta: 0.05,
+        },
+        53,
+    );
+    let g = CsrGraph::from_edge_list(&el);
+    let d = gee_repro::algos::delta_stepping(&g, 0, 1.0);
+    let bfs = gee_repro::algos::bfs_distances(&g, 0);
+    for v in 0..800 {
+        if bfs[v] == u32::MAX {
+            assert!(d[v].is_infinite());
+        } else {
+            assert_eq!(d[v], f64::from(bfs[v]), "vertex {v}");
+        }
+    }
 }

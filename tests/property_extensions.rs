@@ -1,14 +1,110 @@
 //! Property-based tests for the extension features, driven by random
-//! operation sequences and graph shapes: dynamic GEE against static
-//! recompute, GEE's linearity in the edge set, and the generators'
-//! structural guarantees.
+//! operation sequences and graph shapes: the bucketing structure against
+//! a naive model, dynamic GEE against static recompute, Δ-stepping
+//! against Dijkstra, and the configuration model's degree guarantee.
 
 use proptest::prelude::*;
 
 use gee_repro::prelude::*;
 
+// ---------------------------------------------------------------------
+// Buckets vs a naive oracle model.
+// ---------------------------------------------------------------------
+
+/// Oracle: bucket per vertex in a plain vector; pop scans for the min.
+#[derive(Debug)]
+struct NaiveBuckets {
+    bucket_of: Vec<Option<u64>>,
+}
+
+impl NaiveBuckets {
+    fn new(n: usize) -> Self {
+        NaiveBuckets {
+            bucket_of: vec![None; n],
+        }
+    }
+    fn update(&mut self, v: u32, b: u64) {
+        self.bucket_of[v as usize] = Some(b);
+    }
+    fn remove(&mut self, v: u32) {
+        self.bucket_of[v as usize] = None;
+    }
+    /// Pop the minimum bucket: returns (id, sorted members).
+    fn pop_min(&mut self) -> Option<(u64, Vec<u32>)> {
+        let id = self.bucket_of.iter().flatten().copied().min()?;
+        let members: Vec<u32> = (0..self.bucket_of.len() as u32)
+            .filter(|&v| self.bucket_of[v as usize] == Some(id))
+            .collect();
+        for &v in &members {
+            self.bucket_of[v as usize] = None;
+        }
+        Some((id, members))
+    }
+}
+
+/// One step of the randomized bucket workout.
+#[derive(Debug, Clone)]
+enum BucketOp {
+    Update { v: u32, b: u64 },
+    Remove { v: u32 },
+    Pop,
+}
+
+fn bucket_op_strategy(n: u32) -> impl Strategy<Value = BucketOp> {
+    prop_oneof![
+        (0..n, 0u64..20).prop_map(|(v, b)| BucketOp::Update { v, b }),
+        (0..n).prop_map(|v| BucketOp::Remove { v }),
+        Just(BucketOp::Pop),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lazy-deletion bucket structure agrees with the naive model on
+    /// arbitrary operation sequences.
+    #[test]
+    fn buckets_match_naive_model(
+        ops in proptest::collection::vec(bucket_op_strategy(12), 1..80),
+    ) {
+        let n = 12usize;
+        let mut real = gee_repro::ligra::Buckets::new(n, gee_repro::ligra::BucketOrder::Increasing, |_| None);
+        let mut naive = NaiveBuckets::new(n);
+        for op in ops {
+            match op {
+                BucketOp::Update { v, b } => {
+                    real.update_bucket(v, b);
+                    naive.update(v, b);
+                }
+                BucketOp::Remove { v } => {
+                    real.remove(v);
+                    naive.remove(v);
+                }
+                BucketOp::Pop => {
+                    let got = real.next_bucket().map(|bk| {
+                        let mut vs = bk.vertices;
+                        vs.sort_unstable();
+                        (bk.id, vs)
+                    });
+                    prop_assert_eq!(got, naive.pop_min());
+                }
+            }
+            prop_assert_eq!(real.num_live(), naive.bucket_of.iter().flatten().count());
+        }
+        // Drain both to the end.
+        loop {
+            let got = real.next_bucket().map(|bk| {
+                let mut vs = bk.vertices;
+                vs.sort_unstable();
+                (bk.id, vs)
+            });
+            let want = naive.pop_min();
+            prop_assert_eq!(&got, &want);
+            if got.is_none() {
+                break;
+            }
+        }
+    }
 
     /// Dynamic GEE equals a static recompute after any random update
     /// stream (small instances; the oracle is O(s) per check).
@@ -47,6 +143,47 @@ proptest! {
         prop_assert!(fresh.max_abs_diff(&dynamic) <= 1e-9 * scale);
     }
 
+    /// Δ-stepping equals Dijkstra for random graphs, weights, and Δ.
+    #[test]
+    fn delta_stepping_matches_dijkstra(
+        seed in 0u64..100,
+        n in 10usize..80,
+        delta in 0.05f64..50.0,
+    ) {
+        let el = gee_gen::erdos_renyi_gnm(n, n * 4, seed);
+        let edges: Vec<Edge> = el
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| Edge::new(e.u, e.v, 0.1 + ((i * 7 + seed as usize) % 13) as f64 * 0.4))
+            .collect();
+        let g = CsrGraph::from_edge_list(&EdgeList::new_unchecked(n, edges));
+        let fast = gee_repro::algos::delta_stepping(&g, 0, delta);
+        // Dijkstra oracle.
+        let mut dist = vec![f64::INFINITY; n];
+        dist[0] = 0.0;
+        let mut heap = std::collections::BinaryHeap::new();
+        heap.push((std::cmp::Reverse(0u64), 0u32));
+        while let Some((std::cmp::Reverse(db), u)) = heap.pop() {
+            let d = f64::from_bits(db);
+            if d > dist[u as usize] {
+                continue;
+            }
+            for (i, &v) in g.neighbors(u).iter().enumerate() {
+                let nd = d + g.weight_at(u, i);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push((std::cmp::Reverse(nd.to_bits()), v));
+                }
+            }
+        }
+        for v in 0..n {
+            if fast[v].is_finite() || dist[v].is_finite() {
+                prop_assert!((fast[v] - dist[v]).abs() < 1e-9, "vertex {}: {} vs {}", v, fast[v], dist[v]);
+            }
+        }
+    }
+
     /// The configuration model reproduces its degree sequence exactly.
     #[test]
     fn config_model_degree_sequence_exact(
@@ -77,6 +214,35 @@ proptest! {
         let el = gee_gen::watts_strogatz(gee_gen::WsParams { n, k, beta }, seed);
         prop_assert_eq!(el.num_edges(), n * k);
         prop_assert!(el.edges().iter().all(|e| e.u != e.v));
+    }
+
+    /// Parallel edge filtering equals the serial filter for arbitrary
+    /// weight thresholds.
+    #[test]
+    fn filter_graph_matches_serial_filter(
+        seed in 0u64..100,
+        n in 4usize..60,
+        threshold in 0.0f64..10.0,
+    ) {
+        let base = gee_gen::erdos_renyi_gnm(n, n * 4, seed);
+        let weighted = gee_gen::assign_weights(
+            &base,
+            gee_gen::WeightDistribution::Uniform { lo: 0.0, hi: 10.0 },
+            seed ^ 9,
+        );
+        let g = CsrGraph::from_edge_list(&weighted);
+        let filtered = gee_repro::ligra::filter_graph(&g, |_, _, w| w >= threshold);
+        let mut expect: Vec<(u32, u32, u64)> = weighted
+            .edges()
+            .iter()
+            .filter(|e| e.w >= threshold)
+            .map(|e| (e.u, e.v, e.w.to_bits()))
+            .collect();
+        let mut got: Vec<(u32, u32, u64)> =
+            filtered.iter_edges().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+        expect.sort_unstable();
+        got.sort_unstable();
+        prop_assert_eq!(expect, got);
     }
 
     /// GEE is linear in the edge set: embedding(kept) + embedding(dropped)
