@@ -13,12 +13,8 @@ pub mod bc;
 pub mod bfs;
 pub mod cc;
 pub mod coloring;
-pub mod delta_stepping;
-pub mod densest;
 pub mod diameter;
-pub mod dominating_set;
 pub mod kcore;
-pub mod kcore_bucketed;
 pub mod label_prop;
 pub mod matching;
 pub mod mis;
@@ -31,12 +27,8 @@ pub use bc::betweenness;
 pub use bfs::{bfs, bfs_distances};
 pub use cc::connected_components;
 pub use coloring::color;
-pub use delta_stepping::{delta_stepping, suggest_delta};
-pub use densest::{densest_subgraph, DensestResult};
 pub use diameter::{double_sweep_diameter, DiameterEstimate};
-pub use dominating_set::dominating_set;
 pub use kcore::kcore;
-pub use kcore_bucketed::kcore_bucketed;
 pub use label_prop::label_propagation;
 pub use matching::maximal_matching;
 pub use mis::maximal_independent_set;

@@ -21,8 +21,8 @@ subcommands:
   stats        <file>
   embed        --graph <file> --out <csv> [--k K=50] [--labeled F=0.1]
                [--impl ligra|ligra-serial|optimized|reference|deterministic] [--threads T] [--seed S]
-  analyze      --graph <file> --algo <cc|pagerank|kcore|sssp|bfs|triangles|
-                                       matching|dominating-set|densest> [--source V=0]
+  analyze      --graph <file> --algo <cc|pagerank|kcore|sssp|bfs|triangles|matching>
+               [--source V=0]
   serve        --graph <file> (--script <file> | --listen ADDR) [--k K=50] [--labeled F=0.1]
                [--shards S=4] [--seed S=42] [--history N=1] [--max-pending N]
                [--index exact|ivf] [--nprobe N=8] [--refine R=8]
@@ -290,6 +290,12 @@ fn analyze(flags: &Flags) -> crate::Result<String> {
     // symmetrizes uniformly so every algorithm sees the undirected graph.
     let el = read_graph(Path::new(&graph_path))?.symmetrized();
     let g = CsrGraph::from_edge_list(&el);
+    if matches!(algo.as_str(), "bfs" | "sssp") && source as usize >= g.num_vertices() {
+        return Err(CliError::Usage(format!(
+            "--source {source} is out of range for a graph with {} vertices",
+            g.num_vertices()
+        )));
+    }
     let t0 = std::time::Instant::now();
     let mut out = String::new();
     match algo.as_str() {
@@ -308,20 +314,39 @@ fn analyze(flags: &Flags) -> crate::Result<String> {
             writeln!(out, "top-5 PageRank: {:?}", &top[..top.len().min(5)]).unwrap();
         }
         "kcore" => {
-            let core = gee_algos::kcore_bucketed(&g);
+            let core = gee_algos::kcore(&g);
             let max = core.iter().copied().max().unwrap_or(0);
             writeln!(out, "degeneracy (max core): {max}").unwrap();
         }
         "sssp" => {
-            let d = gee_algos::delta_stepping(&g, source, gee_algos::suggest_delta(&g));
+            // The bit-ordered writeMin under `sssp` assumes non-negative weights.
+            if let Some(e) = el.edges().iter().find(|e| e.w < 0.0) {
+                return Err(CliError::Usage(format!(
+                    "--algo sssp needs non-negative weights; edge {} -> {} has weight {}",
+                    e.u, e.v, e.w
+                )));
+            }
+            let d = gee_algos::sssp(&g, source);
             let reached = d.iter().filter(|x| x.is_finite()).count();
-            let ecc = d.iter().filter(|x| x.is_finite()).fold(0.0f64, |a, &b| a.max(b));
-            writeln!(out, "sssp from {source}: {reached} reachable, eccentricity {ecc:.3}").unwrap();
+            let ecc = d
+                .iter()
+                .filter(|x| x.is_finite())
+                .fold(0.0f64, |a, &b| a.max(b));
+            writeln!(
+                out,
+                "sssp from {source}: {reached} reachable, eccentricity {ecc:.3}"
+            )
+            .unwrap();
         }
         "bfs" => {
             let d = gee_algos::bfs_distances(&g, source);
             let reached = d.iter().filter(|&&x| x != u32::MAX).count();
-            let depth = d.iter().filter(|&&x| x != u32::MAX).max().copied().unwrap_or(0);
+            let depth = d
+                .iter()
+                .filter(|&&x| x != u32::MAX)
+                .max()
+                .copied()
+                .unwrap_or(0);
             writeln!(out, "bfs from {source}: {reached} reachable, depth {depth}").unwrap();
         }
         "triangles" => {
@@ -330,27 +355,17 @@ fn analyze(flags: &Flags) -> crate::Result<String> {
         "matching" => {
             let m = gee_algos::maximal_matching(&g, 42);
             let matched = m.iter().filter(|&&p| p != u32::MAX).count();
-            writeln!(out, "maximal matching: {} edges ({} matched vertices)", matched / 2, matched)
-                .unwrap();
-        }
-        "dominating-set" => {
-            let ds = gee_algos::dominating_set(&g);
-            writeln!(out, "greedy dominating set: {} of {} vertices", ds.len(), g.num_vertices())
-                .unwrap();
-        }
-        "densest" => {
-            let r = gee_algos::densest_subgraph(&g);
             writeln!(
                 out,
-                "densest subgraph (2-approx): {} vertices, density {:.3}",
-                r.vertices.len(),
-                r.density
+                "maximal matching: {} edges ({} matched vertices)",
+                matched / 2,
+                matched
             )
             .unwrap();
         }
         other => {
             return Err(CliError::Usage(format!(
-                "unknown --algo {other:?} (cc|pagerank|kcore|sssp|bfs|triangles|matching|dominating-set|densest)"
+                "unknown --algo {other:?} (cc|pagerank|kcore|sssp|bfs|triangles|matching)"
             )))
         }
     }
@@ -1404,8 +1419,6 @@ mod tests {
             ("bfs", "reachable"),
             ("triangles", "triangles:"),
             ("matching", "maximal matching"),
-            ("dominating-set", "dominating set"),
-            ("densest", "densest subgraph"),
         ] {
             let out = run(&sv(&["analyze", "--graph", &graph, "--algo", algo])).unwrap();
             assert!(out.contains(needle), "{algo}: {out}");
@@ -2324,6 +2337,36 @@ mod tests {
         .unwrap();
         let r = run(&sv(&["analyze", "--graph", &graph, "--algo", "frobnicate"]));
         assert!(matches!(r, Err(CliError::Usage(_))));
+        std::fs::remove_file(&graph).ok();
+    }
+
+    #[test]
+    fn analyze_refuses_bad_sources_and_negative_weights() {
+        let graph = tmp("gee_cli_analyze_refuse.txt");
+        std::fs::write(&graph, "0 1 1.0\n1 2 1.0\n2 3 1.0\n").unwrap();
+        for algo in ["bfs", "sssp"] {
+            let r = run(&sv(&[
+                "analyze", "--graph", &graph, "--algo", algo, "--source", "99",
+            ]));
+            assert!(
+                matches!(r, Err(CliError::Usage(ref m)) if m.contains("99")),
+                "{algo}: {r:?}"
+            );
+            let ok = run(&sv(&[
+                "analyze", "--graph", &graph, "--algo", algo, "--source", "3",
+            ]));
+            assert!(ok.unwrap().contains("4 reachable"), "{algo}");
+        }
+        std::fs::write(&graph, "0 1 1.0\n1 2 -2.0\n2 3 1.0\n").unwrap();
+        let r = run(&sv(&["analyze", "--graph", &graph, "--algo", "sssp"]));
+        assert!(
+            matches!(r, Err(CliError::Usage(ref m)) if m.contains("-2")),
+            "{r:?}"
+        );
+        for gone in ["densest", "dominating-set"] {
+            let r = run(&sv(&["analyze", "--graph", &graph, "--algo", gone]));
+            assert!(matches!(r, Err(CliError::Usage(_))), "{gone}: {r:?}");
+        }
         std::fs::remove_file(&graph).ok();
     }
 

@@ -10,8 +10,8 @@
 //!   assignment step.
 //! * [`knn`] — k-nearest-neighbour vertex classification over embedding
 //!   rows (the semantics the serving engine's `Classify` reproduces).
-//! * [`metrics`] — Adjusted Rand Index, Normalized Mutual Information,
-//!   purity, within/between scatter ratio.
+//! * [`metrics`] — Adjusted Rand Index, purity, within/between scatter
+//!   ratio.
 //! * [`spectral`] — adjacency spectral embedding via block power iteration
 //!   (the statistical baseline GEE converges toward), compared with GEE up
 //!   to rotation by [`procrustes`].
@@ -24,6 +24,6 @@ pub mod spectral;
 
 pub use kmeans::{kmeans, kmeans_best_of, KMeansOptions, KMeansResult};
 pub use knn::{accuracy, knn_classify};
-pub use metrics::{adjusted_rand_index, normalized_mutual_information, purity, scatter_ratio};
+pub use metrics::{adjusted_rand_index, purity, scatter_ratio};
 pub use procrustes::{orthogonal_procrustes, ProcrustesResult};
 pub use spectral::{spectral_embedding, SpectralOptions};

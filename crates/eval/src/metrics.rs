@@ -1,4 +1,4 @@
-//! Clustering agreement metrics: ARI, NMI, purity, scatter ratio.
+//! Clustering agreement metrics: ARI, purity, scatter ratio.
 
 use std::collections::HashMap;
 
@@ -43,28 +43,6 @@ pub fn adjusted_rand_index(a: &[u32], b: &[u32]) -> f64 {
         return 1.0; // both partitions trivial (all-singletons or all-one)
     }
     (sum_ij - expected) / (max_index - expected)
-}
-
-/// Normalized Mutual Information with arithmetic-mean normalization.
-pub fn normalized_mutual_information(a: &[u32], b: &[u32]) -> f64 {
-    let n = a.len() as f64;
-    if a.is_empty() {
-        return 1.0;
-    }
-    let (joint, ma, mb) = contingency(a, b);
-    let mut mi = 0.0;
-    for (&(x, y), &nxy) in &joint {
-        let px = ma[&x] / n;
-        let py = mb[&y] / n;
-        let pxy = nxy / n;
-        mi += pxy * (pxy / (px * py)).ln();
-    }
-    let ha: f64 = -ma.values().map(|&c| (c / n) * (c / n).ln()).sum::<f64>();
-    let hb: f64 = -mb.values().map(|&c| (c / n) * (c / n).ln()).sum::<f64>();
-    if ha + hb < 1e-15 {
-        return 1.0;
-    }
-    (2.0 * mi / (ha + hb)).clamp(0.0, 1.0)
 }
 
 /// Purity: fraction of points whose cluster's majority truth class matches
@@ -185,21 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn nmi_identical_is_one() {
-        let a = vec![0, 1, 2, 0, 1, 2];
-        assert!((normalized_mutual_information(&a, &a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nmi_constant_vs_varied() {
-        let a = vec![0, 0, 0, 0];
-        let b = vec![0, 1, 2, 3];
-        // Degenerate: H(a)=0 → MI=0 but normalization guards; value is 0.
-        let v = normalized_mutual_information(&a, &b);
-        assert!((0.0..=1.0).contains(&v));
-    }
-
-    #[test]
     fn purity_perfect_and_half() {
         let truth = vec![0, 0, 1, 1];
         assert_eq!(purity(&[0, 0, 1, 1], &truth), 1.0);
@@ -235,7 +198,6 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert_eq!(adjusted_rand_index(&[], &[]), 1.0);
-        assert_eq!(normalized_mutual_information(&[], &[]), 1.0);
         assert_eq!(purity(&[], &[]), 1.0);
     }
 }

@@ -1,7 +1,5 @@
 //! Edge-weight assigners — turn any generated unit-weight graph into a
-//! weighted workload (GEE's Algorithm 1 is defined for weighted graphs;
-//! Δ-stepping needs non-trivial weight distributions to exercise its
-//! buckets).
+//! weighted workload (GEE's Algorithm 1 is defined for weighted graphs).
 
 use gee_graph::{Edge, EdgeList};
 use rand::Rng;

@@ -8,10 +8,9 @@
 //! * [`CsrGraph`] — a compressed-sparse-row adjacency structure with optional
 //!   per-edge weights and an optionally materialized transpose, the
 //!   representation the Ligra engine traverses.
-//! * [`builder::GraphBuilder`] — deduplicating/validating construction.
 //! * [`io`] — plain edge-list text, SNAP-style text, and a compact binary
 //!   format.
-//! * [`transform`] — symmetrization, self-loop removal, vertex compaction.
+//! * [`transform`] — vertex permutation and edge sampling.
 //! * [`partition`] — contiguous source ranges of equal edge count, the
 //!   unit of work of the edge-parallel traversals.
 //! * [`stats`] — degree statistics used by the benchmark harness to describe
@@ -21,7 +20,6 @@
 //! vertices, comfortably inside `u32`, and halving index width matters for a
 //! memory-bound workload (§IV of the paper).
 
-pub mod builder;
 pub mod compressed;
 pub mod csr;
 pub mod edge_list;
@@ -31,7 +29,6 @@ pub mod partition;
 pub mod stats;
 pub mod transform;
 
-pub use builder::GraphBuilder;
 pub use compressed::CompressedCsr;
 pub use csr::{rows_in_edge_order, CsrGraph};
 pub use edge_list::{Edge, EdgeList};

@@ -1,37 +1,6 @@
-//! Graph transforms: self-loop removal, vertex compaction, permutation,
-//! parallel-edge coalescing, edge sampling.
-
-use std::collections::HashMap;
+//! Graph transforms: vertex permutation and edge sampling.
 
 use crate::{Edge, EdgeList, VertexId};
-
-/// Remove self-loops from an edge list.
-pub fn remove_self_loops(el: &EdgeList) -> EdgeList {
-    let edges: Vec<Edge> = el.edges().iter().copied().filter(|e| e.u != e.v).collect();
-    EdgeList::new_unchecked(el.num_vertices(), edges)
-}
-
-/// Relabel vertices so that only vertices that appear on at least one edge
-/// get ids, in order of first appearance. Returns the compacted edge list
-/// and the old→new id map (dense vector with `u32::MAX` for absent ids).
-///
-/// SNAP files frequently have sparse, non-contiguous ids; Table I's graph
-/// sizes count only active vertices, so the loaders compact by default.
-pub fn compact(el: &EdgeList) -> (EdgeList, Vec<VertexId>) {
-    let mut map: Vec<VertexId> = vec![VertexId::MAX; el.num_vertices()];
-    let mut next: VertexId = 0;
-    let mut edges = Vec::with_capacity(el.num_edges());
-    for e in el.edges() {
-        for endpoint in [e.u, e.v] {
-            if map[endpoint as usize] == VertexId::MAX {
-                map[endpoint as usize] = next;
-                next += 1;
-            }
-        }
-        edges.push(Edge::new(map[e.u as usize], map[e.v as usize], e.w));
-    }
-    (EdgeList::new_unchecked(next as usize, edges), map)
-}
 
 /// Apply an arbitrary vertex permutation `perm` (new id of vertex `v` is
 /// `perm[v]`). `perm` must be a bijection on `0..n`.
@@ -55,23 +24,6 @@ pub fn permute(el: &EdgeList, perm: &[VertexId]) -> EdgeList {
         .map(|e| Edge::new(perm[e.u as usize], perm[e.v as usize], e.w))
         .collect();
     EdgeList::new_unchecked(el.num_vertices(), edges)
-}
-
-/// Merge parallel edges by summing weights. Output order is by first
-/// occurrence of each `(u, v)` pair.
-pub fn coalesce(el: &EdgeList) -> EdgeList {
-    let mut slot: HashMap<(VertexId, VertexId), usize> = HashMap::new();
-    let mut merged: Vec<Edge> = Vec::new();
-    for e in el.edges() {
-        match slot.entry((e.u, e.v)) {
-            std::collections::hash_map::Entry::Occupied(o) => merged[*o.get()].w += e.w,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(merged.len());
-                merged.push(*e);
-            }
-        }
-    }
-    EdgeList::new_unchecked(el.num_vertices(), merged)
 }
 
 /// Deterministically keep each edge with probability `p`, decided by a
@@ -101,44 +53,6 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> EdgeList {
-        EdgeList::new(
-            10,
-            vec![
-                Edge::unit(3, 3),
-                Edge::unit(3, 7),
-                Edge::new(7, 3, 2.0),
-                Edge::new(7, 3, 0.5),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn self_loop_removal() {
-        let el = remove_self_loops(&sample());
-        assert_eq!(el.num_edges(), 3);
-        assert!(el.edges().iter().all(|e| e.u != e.v));
-    }
-
-    #[test]
-    fn compact_renumbers_in_appearance_order() {
-        let (el, map) = compact(&sample());
-        assert_eq!(el.num_vertices(), 2);
-        assert_eq!(map[3], 0);
-        assert_eq!(map[7], 1);
-        assert_eq!(map[0], VertexId::MAX);
-        assert_eq!(el.edges()[1], Edge::unit(0, 1));
-    }
-
-    #[test]
-    fn coalesce_sums_parallel_edges() {
-        let el = coalesce(&sample());
-        assert_eq!(el.num_edges(), 3);
-        let w: f64 = el.edges().iter().find(|e| e.u == 7).unwrap().w;
-        assert_eq!(w, 2.5);
-    }
 
     #[test]
     fn permute_is_bijective_relabel() {

@@ -20,20 +20,14 @@
 //!   deliberately racy non-atomic mode used for the paper's "atomics off"
 //!   ablation.
 //! * [`prim`] — parallel scan / pack / filter primitives.
-//! * [`bucketing`] — Julienne-style priority buckets for ordered
-//!   algorithms (k-core peeling, Δ-stepping SSSP).
 
 pub mod atomics;
-pub mod bucketing;
-pub mod edge_filter;
 pub mod edge_map;
 pub mod prim;
 pub mod vertex_map;
 pub mod vertex_subset;
 
 pub use atomics::{AtomicF64Vec, AtomicsMode};
-pub use bucketing::{Bucket, BucketOrder, Buckets};
-pub use edge_filter::filter_graph;
 pub use edge_map::{edge_map, edge_map_dense_forward, EdgeMapFn, EdgeMapOptions, TraversalKind};
 pub use vertex_map::{vertex_filter, vertex_map};
 pub use vertex_subset::VertexSubset;

@@ -1,12 +1,12 @@
 //! Snapshot checkpoints: the full-state shortcut that bounds WAL replay.
 //!
 //! A checkpoint file captures, for every registered graph, the complete
-//! [`DynamicGee`] writer state (`Ẑ` accumulator bit patterns, labels,
+//! [`DynamicGee`](gee_core::DynamicGee) writer state (`Ẑ` accumulator bit patterns, labels,
 //! class counts, the adjacency mirror in insertion order), the published
 //! epoch, the shard count, and the `updates_applied` counter — i.e.
 //! everything [`Registry`](crate::Registry) recovery needs to continue
-//! *bit-identically*, because the published [`Snapshot`]
-//! (`crate::Snapshot`) is a deterministic function of writer state and
+//! *bit-identically*, because the published
+//! [`Snapshot`](crate::Snapshot) is a deterministic function of writer state and
 //! shard layout. WAL records at LSN ≥ the checkpoint's `lsn` are replayed
 //! on top; everything older is fully covered and its segments can be
 //! retired.

@@ -1,4 +1,4 @@
-//! Blocking wire-protocol client mirroring [`Engine`]'s API.
+//! Blocking wire-protocol client mirroring [`Engine`](crate::Engine)'s API.
 //!
 //! [`Client`] exposes the same methods with the same signatures as the
 //! in-process engine — `classify`, `similar`, `embed_row`,

@@ -1,8 +1,8 @@
 //! Server-side observability counters and their wire report.
 //!
 //! The serving stack maintains a set of lock-free counters
-//! ([`ServeMetrics`], one per [`Registry`](crate::Registry)): a
-//! log2-bucketed latency [`Histogram`] per request type, a histogram of
+//! (`ServeMetrics`, one per [`Registry`](crate::Registry)): a
+//! log2-bucketed latency `Histogram` per request type, a histogram of
 //! batch coalesce sizes (how many reads each
 //! [`Engine::execute_batch`](crate::Engine::execute_batch) run answered
 //! against one snapshot), back-pressure rejections, and IVF index
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::engine::Request;
 
-/// Bucket count for [`Histogram`]: bucket `0` holds zeros and bucket
+/// Bucket count for `Histogram`: bucket `0` holds zeros and bucket
 /// `i` holds values in `[2^(i-1), 2^i)`, so 40 buckets cover a span of
 /// microsecond latencies past six days.
 pub const HISTOGRAM_BUCKETS: usize = 40;
@@ -71,7 +71,7 @@ impl Histogram {
     }
 }
 
-/// Wire snapshot of one [`Histogram`]. Part of the wire
+/// Wire snapshot of one `Histogram`. Part of the wire
 /// contract: `buckets[0]` counts zero samples, `buckets[i]` counts
 /// samples in `[2^(i-1), 2^i)`, trailing empty buckets are trimmed.
 #[derive(Debug, Clone, PartialEq)]

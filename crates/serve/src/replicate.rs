@@ -37,7 +37,7 @@
 //!    a segment mid-stream — the follower reconnects and bootstraps).
 //!
 //! Every frame is CRC-checked; a corrupt or torn frame surfaces as
-//! [`ServeError::Corrupt`] on the follower and is **never** applied —
+//! [`ServeError::Corrupt`](crate::ServeError::Corrupt) on the follower and is **never** applied —
 //! the follower drops the connection and resumes from its durable high
 //! water. `tests/replication_frames.rs` injects torn streams and bit
 //! flips to pin this down.
@@ -56,10 +56,10 @@
 //!
 //! - a follower that sees a leader advertise an epoch *below* its own
 //!   record rejects the session with the typed
-//!   [`ServeError::StaleLeader`] before applying anything;
+//!   [`ServeError::StaleLeader`](crate::ServeError::StaleLeader) before applying anything;
 //! - a leader greeted by a follower claiming a *higher* epoch has been
 //!   deposed: it self-fences ([`crate::Registry::fenced_by`]) — writes
-//!   are refused with [`ServeError::StaleLeader`], every follower
+//!   are refused with `ServeError::StaleLeader`, every follower
 //!   connection is ended, and the fenced state is surfaced through
 //!   `replication_report()` in the Stats/Metrics `replication` block.
 //!

@@ -28,7 +28,7 @@
 //! # The exact scan
 //!
 //! Exact `Similar` asks each block for its `top` rows nearest to a query
-//! row `q` under the `(row_dist2, id)` order ([`ShardBlock::nearest`]),
+//! row `q` under the `(row_dist2, id)` order (`ShardBlock::nearest`),
 //! and the answer must be the dense sweep's, distance bits included.
 //! GEE's rows make most of that sweep redundant: a row is nonzero only
 //! in the classes of its labelled neighbours, so with few vertices

@@ -142,8 +142,8 @@ pub enum Durability {
         /// after this many committed records — update batches,
         /// registrations, and deregistrations all count, so a
         /// register-heavy log still compacts. `0` disables automatic
-        /// checkpoints; [`Registry::checkpoint_now`]
-        /// (`crate::Registry::checkpoint_now`) still works.
+        /// checkpoints; [`Registry::checkpoint_now`](crate::Registry::checkpoint_now)
+        /// still works.
         checkpoint_every: u64,
     },
 }

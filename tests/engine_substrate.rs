@@ -147,15 +147,15 @@ fn io_round_trip_feeds_engine() {
 #[test]
 fn triangle_count_and_kcore_on_cliques() {
     // 3 disjoint K_5s: 10 triangles and core 4 each.
-    let mut builder = GraphBuilder::new(15);
+    let mut edges = Vec::new();
     for c in 0..3u32 {
         for i in 0..5 {
             for j in (i + 1)..5 {
-                builder = builder.add_unit_edge(c * 5 + i, c * 5 + j);
+                edges.push(Edge::unit(c * 5 + i, c * 5 + j));
             }
         }
     }
-    let g = builder.symmetrize(true).build_csr().unwrap();
+    let g = CsrGraph::from_edge_list(&EdgeList::new(15, edges).unwrap().symmetrized());
     assert_eq!(algos::triangle_count(&g), 30);
     assert!(algos::kcore(&g).iter().all(|&c| c == 4));
     assert_eq!(
@@ -167,14 +167,14 @@ fn triangle_count_and_kcore_on_cliques() {
 #[test]
 fn betweenness_on_barbell() {
     // Two K_4s joined by a path through vertex 8: the bridge dominates.
-    let mut b = GraphBuilder::new(9);
+    let mut edges = Vec::new();
     for i in 0..4u32 {
         for j in (i + 1)..4 {
-            b = b.add_unit_edge(i, j).add_unit_edge(4 + i, 4 + j);
+            edges.extend([Edge::unit(i, j), Edge::unit(4 + i, 4 + j)]);
         }
     }
-    b = b.add_unit_edge(0, 8).add_unit_edge(8, 4);
-    let g = b.symmetrize(true).build_csr().unwrap();
+    edges.extend([Edge::unit(0, 8), Edge::unit(8, 4)]);
+    let g = CsrGraph::from_edge_list(&EdgeList::new(9, edges).unwrap().symmetrized());
     // From source 0 the bridge vertex 8 relays all four far-clique targets.
     let dep = algos::betweenness(&g, 0);
     assert!(

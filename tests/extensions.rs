@@ -1,6 +1,6 @@
 //! Cross-crate integration for the extension features: dynamic updates,
-//! bucketed algorithms, the extra generators, downstream inference over
-//! the embedding, and the spectral-convergence check — each validated
+//! k-core peeling, the extra generators, downstream inference over the
+//! embedding, and the spectral-convergence check — each validated
 //! end-to-end on generated workloads.
 
 use gee_core::dynamic::DynamicGee;
@@ -65,10 +65,36 @@ fn dynamic_gee_tracks_static_recompute_through_long_stream() {
     }
 }
 
-/// Bucketed k-core must agree with the level-scan implementation on every
-/// generator family.
+/// The level-scan k-core must equal serial peeling on every generator
+/// family.
 #[test]
-fn bucketed_kcore_agrees_across_generators() {
+fn kcore_matches_peeling_oracle_across_generators() {
+    /// Serial min-degree peeling (Matula & Beck): repeatedly delete a vertex
+    /// of least remaining degree; its core number is the largest such degree
+    /// seen so far.
+    fn peeling_cores(g: &CsrGraph) -> Vec<u32> {
+        let n = g.num_vertices();
+        let mut degree: Vec<usize> = (0..n as u32).map(|v| g.out_degree(v)).collect();
+        let mut removed = vec![false; n];
+        let mut core = vec![0u32; n];
+        let mut k = 0usize;
+        for _ in 0..n {
+            let v = (0..n)
+                .filter(|&v| !removed[v])
+                .min_by_key(|&v| degree[v])
+                .unwrap();
+            k = k.max(degree[v]);
+            core[v] = k as u32;
+            removed[v] = true;
+            for &t in g.neighbors(v as u32) {
+                if !removed[t as usize] {
+                    degree[t as usize] -= 1;
+                }
+            }
+        }
+        core
+    }
+
     let graphs = [
         gee_gen::erdos_renyi_gnm(800, 6_000, 17).symmetrized(),
         gee_gen::rmat(10, 15_000, RmatParams::default(), 19).symmetrized(),
@@ -81,39 +107,16 @@ fn bucketed_kcore_agrees_across_generators() {
             21,
         ),
         gee_gen::config_model(&gee_gen::power_law_degrees(500, 2.3, 1, 60, 23), 23),
+        gee_gen::preferential_attachment(600, 4, 25).symmetrized(),
     ];
     for (i, el) in graphs.iter().enumerate() {
         let g = CsrGraph::from_edge_list(el);
-        assert_eq!(
-            gee_repro::algos::kcore_bucketed(&g),
-            gee_repro::algos::kcore(&g),
-            "family {i}"
+        let want = peeling_cores(&g);
+        assert!(
+            want.iter().any(|&c| c > 1),
+            "family {i} is too sparse to peel"
         );
-    }
-}
-
-/// Δ-stepping must agree with frontier Bellman-Ford on weighted R-MAT.
-#[test]
-fn delta_stepping_agrees_with_bellman_ford() {
-    let base = gee_gen::rmat(10, 12_000, RmatParams::default(), 29).symmetrized();
-    // Derive deterministic positive weights from the endpoints.
-    let edges: Vec<Edge> = base
-        .edges()
-        .iter()
-        .map(|e| Edge::new(e.u, e.v, 0.25 + f64::from((e.u ^ e.v) % 16)))
-        .collect();
-    let g = CsrGraph::from_edge_list(&EdgeList::new_unchecked(base.num_vertices(), edges));
-    let a = gee_repro::algos::delta_stepping(&g, 0, gee_repro::algos::suggest_delta(&g));
-    let b = gee_repro::algos::sssp(&g, 0);
-    for v in 0..g.num_vertices() {
-        if a[v].is_finite() || b[v].is_finite() {
-            assert!(
-                (a[v] - b[v]).abs() < 1e-9,
-                "vertex {v}: {} vs {}",
-                a[v],
-                b[v]
-            );
-        }
+        assert_eq!(gee_repro::algos::kcore(&g), want, "family {i}");
     }
 }
 
@@ -235,28 +238,4 @@ fn gee_aligns_with_spectral_embedding_up_to_rotation() {
         aligned.relative_residual,
         broken.relative_residual
     );
-}
-
-/// Buckets + engine: Δ-stepping on a Watts–Strogatz ring with unit
-/// weights equals BFS depth (every bucket is one BFS level when Δ = 1).
-#[test]
-fn delta_stepping_on_unit_weights_is_bfs() {
-    let el = gee_gen::watts_strogatz(
-        gee_gen::WsParams {
-            n: 800,
-            k: 6,
-            beta: 0.05,
-        },
-        53,
-    );
-    let g = CsrGraph::from_edge_list(&el);
-    let d = gee_repro::algos::delta_stepping(&g, 0, 1.0);
-    let bfs = gee_repro::algos::bfs_distances(&g, 0);
-    for v in 0..800 {
-        if bfs[v] == u32::MAX {
-            assert!(d[v].is_infinite());
-        } else {
-            assert_eq!(d[v], f64::from(bfs[v]), "vertex {v}");
-        }
-    }
 }
